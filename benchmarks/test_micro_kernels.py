@@ -95,12 +95,11 @@ def test_micro_sync_round(benchmark):
             "f",
             arrays=[init.copy() for _ in range(H)],
             bases=[init.copy() for _ in range(H)],
+            canonical=init.copy(),
         )
-        upd = [BitVector(V) for _ in range(H)]
         for h in range(H):
             field.arrays[h][touched[h]] += deltas[h]
-            upd[h].set_many(touched[h])
-        sync.sync_replicated(field, upd, combiner, plan)
+        sync.sync_replicated(field, touched, combiner, plan)
         return net.total_bytes
 
     benchmark(work)

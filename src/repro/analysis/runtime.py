@@ -314,9 +314,10 @@ class GluonSyncChecker:
 
     Attach via ``synchronizer.checker = checker`` (both the embedding and
     output synchronizers may share one instance; state is keyed by field
-    name).  The checker observes ``sync_replicated`` entry and exit plus
-    ``restore_host``, and — for the BSP value-mode loop — per-round
-    outcomes through :meth:`observe_bsp_round`.
+    name).  The checker observes ``sync_replicated`` entry and exit,
+    ``refresh`` and ``restore_host``, the async engine's steps and folds,
+    and — for the BSP value-mode loop — per-round outcomes through
+    :meth:`observe_bsp_round`.
     """
 
     name = "gluon"
@@ -351,13 +352,17 @@ class GluonSyncChecker:
         round_index: int,
         folds_done: int,
         staleness: int,
+        reads: np.ndarray | None = None,
     ) -> None:
         """A host is starting ``round_index`` with ``folds_done`` folds behind it.
 
         Asserts the SSP contract: a host may lead the sync frontier by at
         most ``staleness`` rounds, and its own per-(field, host) clock only
         ever moves forward.  Called by the async engine before every step;
-        any violation is a scheduler bug, never legal behavior.
+        any violation is a scheduler bug, never legal behavior.  ``reads``
+        (the step's access set, for steps whose deltas are captured) is
+        audited for stale rows here, when the step reads them: a later
+        fold may legitimately land before the step's own.
         """
         lead = round_index - folds_done
         if lead > staleness:
@@ -396,6 +401,8 @@ class GluonSyncChecker:
                 )
             )
         self._async_clock[(field_name, host)] = round_index + 1
+        if reads is not None:
+            self._audit_reads(field_name, host, reads)
 
     def note_async_fold(self, field_name: str, round_index: int) -> None:
         """The sync frontier folded ``round_index`` for ``field_name``.
@@ -423,12 +430,24 @@ class GluonSyncChecker:
         self._async_folds[field_name] = round_index + 1
 
     # -- sync_replicated hooks ------------------------------------------
-    def before_replicated(self, field_sync: Any, bounds: np.ndarray, updated: Sequence[Any]) -> None:
-        """Entry hook: validate writes against flags, before any mutation."""
+    def before_replicated(
+        self,
+        field_sync: Any,
+        bounds: np.ndarray,
+        flagged: Sequence[np.ndarray],
+        audit_reads: bool = True,
+    ) -> None:
+        """Entry hook: validate writes against flags, before any mutation.
+
+        ``flagged[h]`` are the sorted ids host ``h`` reports as written.
+        ``audit_reads=False`` skips the stale-read audit, for
+        contributions whose reads were audited when their step ran
+        (:meth:`note_async_step`).
+        """
         name = field_sync.name
         emitted = 0
-        for h, bits in enumerate(updated):
-            flagged = bits.indices()
+        for h, rows in enumerate(flagged):
+            flagged_h = np.asarray(rows, dtype=np.int64)
             arr = field_sync.arrays[h]
             base = field_sync.bases[h]
             neq = arr != base
@@ -438,10 +457,10 @@ class GluonSyncChecker:
                 # training outcome, not a dropped write).
                 neq &= ~(np.isnan(arr) & np.isnan(base))
             dirty = np.flatnonzero(neq.any(axis=1)).astype(np.int64)
-            allowed = flagged
+            allowed = flagged_h
             residual = self._residual.get((name, h))
             if residual is not None and residual.size:
-                allowed = np.union1d(flagged, residual)
+                allowed = np.union1d(flagged_h, residual)
             dropped = np.setdiff1d(dirty, allowed, assume_unique=False)
             if dropped.size and emitted < _MAX_FINDINGS_PER_CHECK:
                 emitted += 1
@@ -455,28 +474,35 @@ class GluonSyncChecker:
                         {"field": name, "host": h, "rows": _sample(dropped)},
                     )
                 )
-            stale = self._stale.get((name, h))
-            if stale is not None and stale.size and flagged.size:
-                hit = np.intersect1d(flagged, stale, assume_unique=True)
-                if hit.size and emitted < _MAX_FINDINGS_PER_CHECK:
-                    emitted += 1
-                    self.findings.append(
-                        SanitizeFinding(
-                            self.name,
-                            "stale-read",
-                            f"field {name!r}: host {h} updated rows {_sample(hit)} "
-                            f"({hit.size} total) whose replica is stale (master "
-                            "changed without a broadcast reaching this host)",
-                            {"field": name, "host": h, "rows": _sample(hit)},
-                        )
-                    )
+            if audit_reads and emitted < _MAX_FINDINGS_PER_CHECK:
+                emitted += self._audit_reads(name, h, flagged_h)
+
+    def _audit_reads(self, name: str, host: int, rows: np.ndarray) -> int:
+        """Flag ``rows`` host ``host`` used whose replica is stale."""
+        stale = self._stale.get((name, host))
+        if stale is None or not stale.size or not rows.size:
+            return 0
+        hit = np.intersect1d(rows, stale, assume_unique=True)
+        if not hit.size:
+            return 0
+        self.findings.append(
+            SanitizeFinding(
+                self.name,
+                "stale-read",
+                f"field {name!r}: host {host} updated rows {_sample(hit)} "
+                f"({hit.size} total) whose replica is stale (master "
+                "changed without a broadcast reaching this host)",
+                {"field": name, "host": host, "rows": _sample(hit)},
+            )
+        )
+        return 1
 
     def after_replicated(
         self,
         field_sync: Any,
         bounds: np.ndarray,
         plan: Any,
-        updated: Sequence[Any],
+        flagged: Sequence[np.ndarray],
         changed_per_master: Sequence[np.ndarray],
         received_per_host: Sequence[np.ndarray],
         accessed_next: Sequence[np.ndarray] | None,
@@ -508,10 +534,9 @@ class GluonSyncChecker:
                     )
 
             block = master_block_slice(bounds, h)
-            flagged = updated[h].indices()
             rebased = np.union1d(recv, np.asarray(changed_per_master[h], dtype=np.int64))
             residual = self._residual.get((name, h), _empty_ids())
-            residual = np.setdiff1d(np.union1d(residual, flagged), rebased)
+            residual = np.setdiff1d(np.union1d(residual, flagged[h]), rebased)
             self._residual[(name, h)] = residual
 
             foreign = changed_all[
@@ -521,6 +546,15 @@ class GluonSyncChecker:
             stale = np.setdiff1d(np.union1d(stale, foreign), recv)
             self._stale[(name, h)] = stale
         self.rounds_observed += 1
+
+    def after_refresh(
+        self, field_sync: Any, received_per_host: Sequence[np.ndarray]
+    ) -> None:
+        """A refresh pulled canonical rows: they are no longer stale."""
+        for h, recv in enumerate(received_per_host):
+            stale = self._stale.get((field_sync.name, h))
+            if stale is not None and len(recv):
+                self._stale[(field_sync.name, h)] = np.setdiff1d(stale, recv)
 
     def after_restore(self, field_sync: Any, host: int) -> None:
         """Crash recovery rebuilt ``host``'s replica: everything is fresh."""

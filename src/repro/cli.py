@@ -280,14 +280,22 @@ def _cmd_train(args) -> int:
     if args.sanitize and args.hosts == 1:
         print("error: --sanitize requires --hosts > 1", file=sys.stderr)
         return 2
-    if args.hosts == 1 and (args.engine != "bsp" or args.trace is not None):
-        print("error: --engine/--trace require --hosts > 1", file=sys.stderr)
-        return 2
-    if args.engine == "bsp" and (args.staleness or args.delay_compensation):
+    from repro.dgraph.engine import resolve_training_engine
+
+    try:
+        engine = resolve_training_engine(
+            args.engine,
+            staleness=args.staleness,
+            delay_compensation=args.delay_compensation,
+        )
+    except ValueError as exc:
         print(
-            "error: --staleness/--delay-compensation require --engine async",
+            f"error: invalid --engine/--staleness/--delay-compensation: {exc}",
             file=sys.stderr,
         )
+        return 2
+    if args.hosts == 1 and (args.engine != "bsp" or args.trace is not None):
+        print("error: --engine/--trace require --hosts > 1", file=sys.stderr)
         return 2
     print(f"training on {corpus} with {params}")
     if args.hosts == 1:
@@ -306,9 +314,7 @@ def _cmd_train(args) -> int:
             faults=fault_config,
             workers=args.workers,
             sanitize=True if args.sanitize else None,
-            engine=args.engine,
-            staleness=args.staleness,
-            delay_compensation=args.delay_compensation,
+            engine=engine,
         )
         result = trainer.train()
         model = result.model
@@ -327,23 +333,13 @@ def _cmd_train(args) -> int:
         if args.trace is not None:
             import json as _json
 
-            from repro.cluster.trace import (
-                build_async_chrome_trace,
-                build_chrome_trace,
-            )
+            from repro.cluster.trace import build_async_chrome_trace
 
-            if trainer.async_timeline is not None:
-                events = build_async_chrome_trace(
-                    trainer.async_timeline,
-                    trainer.network.phase_records,
-                    trainer.network_model,
-                )
-            else:
-                events = build_chrome_trace(
-                    trainer.metrics,
-                    trainer.network.phase_records,
-                    trainer.network_model,
-                )
+            events = build_async_chrome_trace(
+                trainer.async_timeline,
+                trainer.network.phase_records,
+                trainer.network_model,
+            )
             args.trace.write_text(_json.dumps({"traceEvents": events}))
             print(f"trace written to {args.trace}")
     if questions is not None:

@@ -47,18 +47,16 @@ class DistributedRunReport:
         metrics: ClusterMetrics,
         network: SimulatedNetwork,
         model: NetworkModel,
+        makespan_s: float,
         pairs_processed: int = 0,
         peak_replica_rows: int = 0,
         fault_report: FaultReport | None = None,
-        makespan_s: float | None = None,
     ) -> "DistributedRunReport":
-        """``makespan_s`` overrides the compute-phase critical path.
-
-        ``None`` (BSP) uses the barrier makespan — the sum over rounds of
-        the slowest host — which is exact for a lock-step loop.  The async
-        engine passes its replayed event-order makespan instead, so the
-        slack bought by bounded staleness shows up as a smaller ``wait_s``
-        rather than being invisible inside per-round maxima.
+        """``makespan_s`` is the compute-phase critical path: the training
+        engine's replayed event-order makespan.  At staleness 0 it is the
+        barrier makespan (the sum over rounds of the slowest host); above
+        it, the slack bought by bounded staleness shows up as a smaller
+        ``wait_s`` rather than being invisible inside per-round maxima.
         """
         # Restore traffic (phases named "recovery:*") is a fault cost, not
         # steady-state communication — price it into the recovery bucket so
@@ -74,8 +72,6 @@ class DistributedRunReport:
         # Split the compute critical path into busy time (mean over hosts)
         # and barrier/staleness wait, so straggler slack is attributable.
         busy_s = metrics.modeled_busy_s()
-        if makespan_s is None:
-            makespan_s = metrics.modeled_compute_s()
         breakdown = TimeBreakdown(
             compute_s=busy_s,
             communication_s=comm_s,

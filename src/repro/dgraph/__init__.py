@@ -7,23 +7,16 @@ bulk-synchronous execution driver, and the classic applications the paper's
 background section describes (sssp via Bellman-Ford and delta-stepping,
 PageRank, connected components), all synchronized through Gluon.
 
-Execution engines live behind two seams (:mod:`repro.dgraph.engine`): the
-:class:`Engine` protocol for value-mode drivers (:class:`BSPEngine`), and
-:class:`TrainingEngine` for the trainer's round loop —
-:class:`BSPTrainingEngine` (lock-step barriers) and
-:class:`~repro.dgraph.async_engine.SSPTrainingEngine` (stale-synchronous
-parallel with a bounded staleness window).
+Value-mode drivers satisfy the :class:`Engine` protocol
+(:mod:`repro.dgraph.engine`; :class:`BSPEngine`).  The trainer's round loop
+is :class:`~repro.dgraph.async_engine.SSPTrainingEngine`
+(stale-synchronous parallel with a bounded staleness window; staleness 0
+is BSP), built by :func:`resolve_training_engine`.
 """
 
 from repro.dgraph.bsp import BSPEngine, RecoveryPolicy, RoundStats
 from repro.dgraph.dist_graph import DistGraph
-from repro.dgraph.engine import (
-    BSPTrainingEngine,
-    Engine,
-    TrainingEngine,
-    compensate_delta,
-    resolve_training_engine,
-)
+from repro.dgraph.engine import Engine, compensate_delta, resolve_training_engine
 from repro.dgraph.graph import Graph
 
 __all__ = [
@@ -33,8 +26,6 @@ __all__ = [
     "RoundStats",
     "RecoveryPolicy",
     "Engine",
-    "TrainingEngine",
-    "BSPTrainingEngine",
     "resolve_training_engine",
     "compensate_delta",
 ]

@@ -1,15 +1,15 @@
-"""Bounded-staleness (SSP) training engine beside the BSP loop.
+"""The training engine: bounded staleness (SSP), with BSP as ``s = 0``.
 
 The stale-synchronous-parallel engine lets hosts advance their round
 clocks independently, up to a staleness bound ``s``: a host may start
 global round ``g`` only while ``g - folds_done <= s``, where
 ``folds_done`` equals the slowest host's completed-round clock (round
 ``r`` *folds* — reduce + broadcast — the moment every host has finished
-it).  ``s = 0`` therefore degrades to the lock-step BSP schedule, and the
-engine is built so that degradation is **bit-identical**: same kernels,
-same deltas, same combiner arithmetic in the same rotation order, same
-wire bytes and message sequence under every communication plan and fault
-schedule (pinned by ``tests/test_async_engine.py``).
+it).  ``s = 0`` is the lock-step BSP schedule of the paper's Algorithm 1,
+and ``engine="bsp"`` runs exactly that: same kernels, same deltas, same
+combiner arithmetic in the same rotation order, same wire bytes and
+message sequence under every communication plan and fault schedule
+(pinned by ``tests/test_async_engine.py``).
 
 Determinism story.  The interleaving is not discovered from wall-clock —
 it is *recorded*: :func:`build_interleaving` runs a virtual event loop
@@ -18,17 +18,19 @@ plus a seed-keyed jitter, producing a causal event list (start / end /
 fold) that is a pure function of the seed.  Execution then replays that
 list, and the *measured* per-step times are laid back onto the recorded
 order to produce the reported makespan.  Replay, checkpointing and crash
-recovery all inherit BSP's guarantees because every started round still
-folds at a deterministic point of the recorded schedule.
+recovery are exact because every started round still folds at a
+deterministic point of the recorded schedule.
 
-Mirror semantics.  Because hosts run ahead of the fold frontier, the
-canonical model can no longer be read off replica master blocks; the
-engine owns a dedicated canonical store (``trainer._canonical``) that
-only fold arithmetic mutates.  Replicas become bounded-staleness mirrors:
-fold broadcasts and PullModel refreshes overwrite rows with canonical
-values *plus* the host's still-unfolded buffered deltas on those rows
-(read-my-writes), and per-(field, host) pending-stale sets — layered on
-the dirty :class:`~repro.gluon.bitvector.BitVector` machinery — drive an
+Folds.  Every fold runs through
+:meth:`~repro.gluon.sync.GluonSynchronizer.sync_replicated`, which
+reduces into the field's canonical store (``FieldSync.canonical``).  At
+``s = 0`` nothing runs between a host's step and its fold, so the fold
+reads each delta off the replica (current − base), exactly as BSP does.
+At ``s > 0`` hosts run ahead of the fold frontier, so each step captures
+its float64 delta and rebases right after its kernel; replicas become
+bounded-staleness mirrors: fold broadcasts and PullModel refreshes land
+canonical values *plus* the host's still-unfolded buffered deltas on those
+rows (read-my-writes), and per-(field, host) pending-stale sets drive an
 extra ``refresh``/``refresh-request`` phase pair so a host never computes
 on a row whose master changed without a broadcast reaching it.  Fold
 order across fields is priority-scheduled dirtiest-first through the
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.analysis.runtime import SanitizeError, note_write
-from repro.dgraph.engine import TrainingEngine, compensate_delta
+from repro.dgraph.engine import compensate_delta
 from repro.galois.do_all import do_all
 from repro.galois.worklist import OrderedByIntegerMetric
 from repro.gluon.bitvector import BitVector
@@ -68,8 +70,8 @@ __all__ = [
 ]
 
 #: BSP synchronizes embedding before training; the s=0 fold keeps this
-#: order so the per-round message sequence (and hence the transient-fault
-#: injector's draw order) is bit-compatible.
+#: order, which fixes the per-round message sequence (and hence the
+#: transient-fault injector's draw order).
 _FIELD_ORDER = ("embedding", "training")
 
 
@@ -80,7 +82,7 @@ def _empty_ids() -> np.ndarray:
 # ----------------------------------------------------------------------
 # Recorded interleaving schedule
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduledEvent:
     """One event of the recorded interleaving (virtual time units).
 
@@ -200,18 +202,20 @@ class _RunState:
 
     def __init__(self, trainer: "GraphWord2Vec", start_fold: int) -> None:
         self.folds_done = start_fold
-        # (field, round) -> {host: (ids, delta_f64, drift_base_f64|None)}
+        # (field, round) -> {host: (ids, delta_f64|None, drift_base_f64|None)};
+        # the delta is None when the fold reads it off the replica.
         self.contrib: dict[tuple[str, int], dict[int, tuple]] = {}
         self.lr_of: dict[int, float] = {}
+        # round -> per-host modeled seconds; compute also feeds the
+        # measured replay.
         self.compute_buf: dict[int, np.ndarray] = {}
         self.inspect_buf: dict[int, np.ndarray] = {}
         self.recovery_buf: dict[int, np.ndarray] = {}
         self.base_times: dict[int, list[float]] = {}
         self.slow_times: dict[int, list[float]] = {}
         self.pairs_buf: dict[int, int] = {}
-        # (host, round) -> modeled compute seconds, for the measured replay.
-        self.measured: dict[tuple[int, int], float] = {}
         self.recovery_spans: list[tuple[int, int, float]] = []
+        # Rows with buffered contributions, per field (kept at s>0 only).
         self.dirty: dict[str, BitVector] = {
             name: BitVector(trainer._fields[name].num_nodes)
             for name in _FIELD_ORDER
@@ -229,14 +233,15 @@ class _RunState:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-class SSPTrainingEngine(TrainingEngine):
-    """Stale-synchronous-parallel round driver for :class:`GraphWord2Vec`.
+class SSPTrainingEngine:
+    """The round driver of :class:`GraphWord2Vec`.
 
-    ``staleness=0`` is bit-identical BSP; ``staleness=s`` lets each host
-    run up to ``s`` rounds past the slowest host before blocking.
-    ``delay_compensation=λ`` applies :func:`~repro.dgraph.engine.
-    compensate_delta` to contributions at fold time (the parameter-server
-    baseline's correction, as a comparator configuration).
+    ``staleness=0`` is BSP (every round a global barrier);
+    ``staleness=s`` lets each host run up to ``s`` rounds past the
+    slowest host before blocking.  ``delay_compensation=λ`` applies
+    :func:`~repro.dgraph.engine.compensate_delta` to contributions at
+    fold time (the parameter-server baseline's correction, as a
+    comparator configuration).
     """
 
     name = "async"
@@ -250,6 +255,10 @@ class SSPTrainingEngine(TrainingEngine):
             )
         self.staleness = int(staleness)
         self.delay_compensation = float(delay_compensation)
+        # Steps capture their deltas when a fold may not follow directly
+        # (s > 0) or when compensation needs the base they started from;
+        # otherwise the fold reads deltas off the replicas, as BSP does.
+        self._captures = self.staleness > 0 or self.delay_compensation > 0
         #: The interleaving of the most recent ``run()`` (replay evidence).
         self.last_schedule: AsyncSchedule | None = None
 
@@ -260,7 +269,11 @@ class SSPTrainingEngine(TrainingEngine):
         stop_epoch: int,
         until_round: int | None,
         epoch_callback: Callable[[int, "Word2VecModel"], None] | None,
-    ) -> float | None:
+    ) -> float:
+        """Train rounds up to ``stop_epoch``/``until_round``.
+
+        Returns the modeled makespan of the executed span in seconds.
+        """
         S = trainer.sync_rounds
         H = trainer.num_hosts
         g0 = trainer._completed_epochs * S + trainer._completed_rounds
@@ -269,12 +282,6 @@ class SSPTrainingEngine(TrainingEngine):
             g1 = min(g1, until_round)
         if g1 <= g0:
             return 0.0
-        if trainer._canonical is None:
-            model = trainer.canonical_model()
-            trainer._canonical = {
-                "embedding": model.embedding,
-                "training": model.training,
-            }
         if trainer._async_state is None:
             trainer._async_state = {"pending_stale": {}, "next_access": {}}
         sched_seed = trainer._seeds.subtree("async-schedule").seed
@@ -282,7 +289,11 @@ class SSPTrainingEngine(TrainingEngine):
         def vdur(host: int, g: int) -> float:
             # Modeled speed factors drive the interleaving; the 1% keyed
             # jitter breaks ties on homogeneous clusters so s>0 schedules
-            # are generic — and still a pure function of the seed.
+            # are generic — and still a pure function of the seed.  At s=0
+            # every round starts at the previous fold whatever the
+            # durations, so the lock-step schedule skips the draws.
+            if not self.staleness:
+                return 1.0
             jitter = float(keyed_rng(sched_seed, host, g).random())
             return trainer._time_factor(g // S, g % S, host) * (1.0 + 0.01 * jitter)
 
@@ -312,10 +323,11 @@ class SSPTrainingEngine(TrainingEngine):
 
         No fold happens inside a wave, so mirror state is constant except
         for the hosts' own kernels: steps of distinct hosts commute and
-        run as per-host chains under the trainer's executor, exactly like
-        the BSP compute ``do_all``.  Everything that touches shared state
-        (work generation, refresh phases, accounting) runs serially in
-        wave order, so results are executor-independent.
+        run as per-host chains under the trainer's executor (at s=0, one
+        step per host: the paper's compute phase).  Everything that
+        touches shared state (work generation, refresh phases,
+        accounting) runs serially in wave order, so results are
+        executor-independent.
         """
         if not wave:
             return
@@ -324,7 +336,7 @@ class SSPTrainingEngine(TrainingEngine):
         checker = trainer.sync_checker
         state = trainer._async_state
 
-        # Serial pre-pass: staleness audit, learning rates, crash lookup.
+        # Serial pre-pass: learning rates, crash lookup.
         steps: list[tuple[ScheduledEvent, object]] = []
         for ev in wave:
             e, s = divmod(ev.round_index, S)
@@ -333,20 +345,15 @@ class SSPTrainingEngine(TrainingEngine):
                 for cev in schedule.crashes_at(e, s):
                     if cev.host == ev.host:
                         crash = cev
-            if checker is not None:
-                for fname in _FIELD_ORDER:
-                    checker.note_async_step(
-                        fname, ev.host, ev.round_index, run.folds_done, self.staleness
-                    )
             if ev.round_index not in run.lr_of:
                 run.lr_of[ev.round_index] = trainer.params.learning_rate_for_epoch(e)
             steps.append((ev, crash))
 
         # PullModel refresh: rows a live step will access whose master
-        # changed in a fold this host's mirror never received.  Empty at
+        # changed in a fold this host's mirror never received.  None at
         # s=0 (every access set is covered by the preceding fold's
-        # broadcast), so no phase records are emitted there.
-        if trainer.plan.requires_access_sets:
+        # broadcast).
+        if trainer.plan.requires_access_sets and self.staleness:
             for fname in _FIELD_ORDER:
                 need: dict[int, np.ndarray] = {}
                 for ev, crash in steps:
@@ -371,8 +378,28 @@ class SSPTrainingEngine(TrainingEngine):
                 if need:
                     self._refresh(trainer, run, fname, need)
 
+        # Staleness audit, after the refresh: captured steps' reads are
+        # checked against the rows they will actually read.
+        if checker is not None:
+            for ev, crash in steps:
+                work = None
+                if self._captures and crash is None:
+                    work = trainer._get_work(*divmod(ev.round_index, S), ev.host)
+                for fname in _FIELD_ORDER:
+                    reads = None
+                    if work is not None:
+                        reads = (
+                            work.embedding_access
+                            if fname == "embedding"
+                            else work.output_access
+                        )
+                    checker.note_async_step(
+                        fname, ev.host, ev.round_index, run.folds_done,
+                        self.staleness, reads=reads,
+                    )
+
         # Pop round work serially (shared caches), skipping crashed steps
-        # — their work is popped at the recovery point, like BSP.
+        # — their work is popped at the recovery point.
         works: dict[tuple[int, int], "RoundWork"] = {}
         for ev, crash in steps:
             if crash is None:
@@ -393,8 +420,8 @@ class SSPTrainingEngine(TrainingEngine):
                 trainer._epoch_chunks(epoch)
 
         # Execute: batches of crash-free steps as parallel per-host
-        # chains, crashed steps serially at their wave position (the
-        # phase-record order recovery -> sync matches BSP at s=0).
+        # chains, crashed steps serially at their wave position (so at s=0
+        # a round's recovery phases precede its sync, as in Algorithm 1).
         batch: list[ScheduledEvent] = []
         for ev, crash in steps:
             if crash is None:
@@ -414,9 +441,6 @@ class SSPTrainingEngine(TrainingEngine):
     ) -> None:
         if not batch:
             return
-        S = trainer.sync_rounds
-        emb_field = trainer._fields["embedding"]
-        out_field = trainer._fields["training"]
         chains: dict[int, list[int]] = {}
         order: list[int] = []
         for ev in batch:
@@ -425,51 +449,19 @@ class SSPTrainingEngine(TrainingEngine):
                 order.append(ev.host)
             chains[ev.host].append(ev.round_index)
         slots: dict[int, list[tuple]] = {h: [] for h in order}
-        inspect = trainer.plan.requires_access_sets
 
         def run_chain(host: int) -> None:
             # A host's steps are sequential; capture must follow each
             # kernel before the next one so a round's delta never absorbs
             # a later round's writes.  Everything touched here is
             # host-local (replica arrays, bases, the private slot list).
+            # The flush pre-pass materialized every epoch this wave
+            # inspects (descending, so pruning spares them all): the
+            # inspection only *reads* the chunk cache.
             for g in chains[host]:
                 work = works[(host, g)]
-                start = time.thread_time()
-                _loss, pairs = work.apply(
-                    emb_field.arrays[host],
-                    out_field.arrays[host],
-                    run.lr_of[g],
-                    trainer.params.batch_pairs,
-                    compute_loss=trainer.compute_loss,
-                )
-                measured = time.thread_time() - start
-                note_write(
-                    emb_field.arrays[host], work.embedding_access,
-                    label=f"embedding[host={host}]",
-                )
-                note_write(
-                    out_field.arrays[host], work.output_access,
-                    label=f"training[host={host}]",
-                )
-                captures = self._capture(trainer, host, work)
-                next_work = None
-                inspect_s = 0.0
-                if inspect:
-                    nxt = trainer._next_slot(*divmod(g, S))
-                    if nxt is not None:
-                        t0 = time.thread_time()
-                        key = (nxt[0], nxt[1], host)
-                        next_work = trainer._work_cache.get(key)
-                        if next_work is None:
-                            # The flush pre-pass materialized every epoch
-                            # this wave inspects (descending, so pruning
-                            # spares them all): this call only *reads* the
-                            # chunk cache, and host-keyed state elsewhere.
-                            next_work = trainer._build_work(*nxt, host)  # repro: noqa[REPRO111]
-                        inspect_s = time.thread_time() - t0
-                slots[host].append(
-                    (g, work, measured, pairs, captures, next_work, inspect_s)
-                )
+                step = self._step(trainer, host, g, work, run.lr_of[g])  # repro: noqa[REPRO111]
+                slots[host].append((g, work, *step))
 
         do_all(order, run_chain, executor=trainer.executor)
 
@@ -478,6 +470,44 @@ class SSPTrainingEngine(TrainingEngine):
         for ev in batch:
             entry = slots[ev.host].pop(0)
             self._post_step(trainer, run, ev.host, *entry)
+
+    def _step(
+        self,
+        trainer: "GraphWord2Vec",
+        host: int,
+        g: int,
+        work: "RoundWork",
+        lr: float,
+    ) -> tuple:
+        """Run one step on ``host``'s replica: kernel, capture, inspection.
+
+        Returns ``(measured, pairs, captures, next_work, inspect_s)``;
+        ``next_work`` is the host's next round, inspected for its access
+        sets under PullModel.  Times are ``thread_time``, so they do not
+        depend on what else shares the simulator's cores.
+        """
+        emb = trainer._fields["embedding"].arrays[host]
+        out = trainer._fields["training"].arrays[host]
+        start = time.thread_time()
+        _loss, pairs = work.apply(
+            emb, out, lr, trainer.params.batch_pairs, compute_loss=trainer.compute_loss
+        )
+        measured = time.thread_time() - start
+        note_write(emb, work.embedding_access, label=f"embedding[host={host}]")
+        note_write(out, work.output_access, label=f"training[host={host}]")
+        captures = self._capture(trainer, host, work)
+        next_work = None
+        inspect_s = 0.0
+        nxt = None
+        if trainer.plan.requires_access_sets:
+            nxt = trainer._next_slot(*divmod(g, trainer.sync_rounds))
+        if nxt is not None:
+            t0 = time.thread_time()
+            next_work = trainer._work_cache.get((nxt[0], nxt[1], host))
+            if next_work is None:
+                next_work = trainer._build_work(*nxt, host)
+            inspect_s = time.thread_time() - t0
+        return measured, pairs, captures, next_work, inspect_s
 
     def _post_step(
         self,
@@ -500,7 +530,6 @@ class SSPTrainingEngine(TrainingEngine):
         if compute_s is None:
             compute_s = measured * factor
         run.round_array(run.compute_buf, g, H)[host] += compute_s
-        run.measured[(host, g)] = run.measured.get((host, g), 0.0) + compute_s
         if not crashed:
             run.base_times.setdefault(g, []).append(
                 measured * trainer.host_speed_factors[host]
@@ -509,7 +538,7 @@ class SSPTrainingEngine(TrainingEngine):
         run.pairs_buf[g] = run.pairs_buf.get(g, 0) + pairs
         for fname, (ids, delta, drift_base) in zip(_FIELD_ORDER, captures):
             run.contrib.setdefault((fname, g), {})[host] = (ids, delta, drift_base)
-            if ids.size:
+            if self.staleness and ids.size:
                 run.dirty[fname].set_many(ids)
         if trainer.plan.requires_access_sets:
             state = trainer._async_state
@@ -530,11 +559,12 @@ class SSPTrainingEngine(TrainingEngine):
     def _capture(
         self, trainer: "GraphWord2Vec", host: int, work: "RoundWork"
     ) -> list[tuple]:
-        """Snapshot the step's deltas and rebase, immediately post-kernel.
+        """The step's touched rows, with deltas captured when they must be.
 
-        Deferred folding: the float64 delta (current − base) per touched
-        row is buffered until the round folds; rebasing right away means
-        a later step of the same host never leaks into this round's
+        Without capture the fold reads the delta off the replica.  With
+        it, the float64 delta (current − base) per touched row is
+        snapshotted and the rows rebased immediately post-kernel, so a
+        later step of the same host never leaks into this round's
         contribution.  With delay compensation enabled the float64 base
         is kept too (drift = canonical-at-fold − base-at-capture).
         Host-local arrays only — safe inside the parallel chain.
@@ -546,6 +576,9 @@ class SSPTrainingEngine(TrainingEngine):
             ("training", work.output_access),
         ):
             field = trainer._fields[fname]
+            if not self._captures:
+                out.append((ids, None, None))
+                continue
             if not ids.size:
                 out.append((ids, np.empty((0, field.dim)), None))
                 continue
@@ -565,13 +598,18 @@ class SSPTrainingEngine(TrainingEngine):
         g: int,
         crash,
     ) -> None:
-        """Fail-stop recovery for one crashed step (BSP cost formulas).
+        """Fail-stop recovery for one crashed step.
 
-        The replica is restored from the canonical store — under SSP the
-        round checkpoint *is* the canonical state at the fold frontier —
-        plus the surviving masters' streamed blocks, then the lost chunk
-        replays on it.  Bytes and modeled times are exactly the BSP
-        recovery path's, so s=0 fault schedules stay bit-identical.
+        (1) The barrier times out and declares the host dead; (2) its
+        replacement restores its own master block from the canonical
+        store — the canonical state at the fold frontier is the round
+        checkpoint — and every surviving master's block over the network;
+        (3) the lost chunk replays on the restored replica.  Work
+        generation is a pure function of the seed tree, so the replayed
+        updates are bit-identical to the lost ones.  The modeled recovery
+        time redistributes the replay across the surviving hosts (values
+        come from the sequential execution, wall-clock from the
+        concurrency model).
         """
         S = trainer.sync_rounds
         e, s = divmod(g, S)
@@ -582,21 +620,22 @@ class SSPTrainingEngine(TrainingEngine):
         report.detect_s += config.detect_timeout_s
 
         storage_bytes = 0
-        for fname, bounds in (
-            ("embedding", trainer.bounds),
-            ("training", trainer.bounds_out),
-        ):
+        net_bytes = 0
+        for fname in _FIELD_ORDER:
             field = trainer._fields[fname]
-            canon = trainer._canonical[fname]
-            lo, hi = int(bounds[host]), int(bounds[host + 1])
-            field.arrays[host][lo:hi] = canon[lo:hi]
-            field.bases[host][lo:hi] = canon[lo:hi]
+            sync = trainer._sync_of(fname)
+            lo, hi = int(sync.bounds[host]), int(sync.bounds[host + 1])
+            field.arrays[host][lo:hi] = field.canonical[lo:hi]
+            field.bases[host][lo:hi] = field.canonical[lo:hi]
             storage_bytes += (hi - lo) * field.dim * VALUE_BYTES
         report.checkpoint_restore_bytes += storage_bytes
         storage_s = storage_bytes / config.restore_bandwidth_Bps
-
-        net_bytes = self._restore_from_canonical(trainer, "embedding", host)
-        net_bytes += self._restore_from_canonical(trainer, "training", host)
+        # The recovery phases are priced into recovery time, not regular
+        # communication, by the report builder.
+        for fname in _FIELD_ORDER:
+            net_bytes += trainer._sync_of(fname).restore_host(
+                trainer._fields[fname], host
+            )
         report.recovery_bytes += net_bytes
         # The rebuilt replica is wholly canonical: nothing is stale, and
         # the host's uncaptured in-round work is what the replay redoes.
@@ -604,30 +643,9 @@ class SSPTrainingEngine(TrainingEngine):
             state["pending_stale"].pop((fname, host), None)
 
         work = trainer._pop_work(e, s, host)
-        emb_field = trainer._fields["embedding"]
-        out_field = trainer._fields["training"]
-        t0 = time.thread_time()
-        _loss, pairs = work.apply(
-            emb_field.arrays[host],
-            out_field.arrays[host],
-            run.lr_of[g],
-            trainer.params.batch_pairs,
-            compute_loss=trainer.compute_loss,
+        replay_measured, pairs, captures, next_work, inspect_s = self._step(
+            trainer, host, g, work, run.lr_of[g]
         )
-        replay_measured = time.thread_time() - t0
-        captures = self._capture(trainer, host, work)
-
-        next_work = None
-        inspect_s = 0.0
-        if trainer.plan.requires_access_sets:
-            nxt = trainer._next_slot(e, s)
-            if nxt is not None:
-                t0 = time.thread_time()
-                key = (nxt[0], nxt[1], host)
-                next_work = trainer._work_cache.get(key)
-                if next_work is None:
-                    next_work = trainer._build_work(*nxt, host)
-                inspect_s = time.thread_time() - t0
 
         own_factor = trainer._time_factor(e, s, host)
         crashed_hosts = {
@@ -655,41 +673,6 @@ class SSPTrainingEngine(TrainingEngine):
             compute_s=crash.loss_fraction * replay_measured * own_factor,
         )
 
-    def _restore_from_canonical(
-        self, trainer: "GraphWord2Vec", fname: str, host: int
-    ) -> int:
-        """Stream surviving masters' canonical blocks to ``host``.
-
-        Mirrors :meth:`~repro.gluon.sync.GluonSynchronizer.restore_host`
-        byte-for-byte, but reads the canonical store instead of replica
-        bases: under SSP a survivor's base rows carry its own unfolded
-        local view, which is not what recovery must rebuild.
-        """
-        field = trainer._fields[fname]
-        sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
-        bounds = sync.bounds
-        network = trainer.network
-        canon = trainer._canonical[fname]
-        dim = field.dim
-        with network.phase(f"recovery:{fname}") as record:
-            for m in range(trainer.num_hosts):
-                if m == host:
-                    continue
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                rows = hi - lo
-                if rows == 0:
-                    continue
-                network.send(
-                    m, host, rows * dim * VALUE_BYTES,
-                    payload=(np.arange(lo, hi, dtype=np.int64), canon[lo:hi].copy()),
-                )
-            for _src, (ids, vals) in network.drain(host):
-                field.arrays[host][ids] = vals
-                field.bases[host][ids] = vals
-        if sync.checker is not None:
-            sync.checker.after_restore(field, host)
-        return record.total_bytes
-
     def _refresh(
         self,
         trainer: "GraphWord2Vec",
@@ -697,120 +680,35 @@ class SSPTrainingEngine(TrainingEngine):
         fname: str,
         need: dict[int, np.ndarray],
     ) -> None:
-        """Pull stale rows a wave is about to access (PullModel, s>0).
-
-        The same request/reply wire math as the plan's pull phases, under
-        dedicated ``refresh-request:``/``refresh:`` phase names so the
-        report's byte breakdown shows staleness traffic separately.
-        """
-        field = trainer._fields[fname]
-        sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
-        bounds = sync.bounds
-        plan = trainer.plan
-        network = trainer.network
-        canon = trainer._canonical[fname]
-        state = trainer._async_state
-        dim = field.dim
+        """Pull stale rows a wave is about to access (PullModel, s>0)."""
         H = trainer.num_hosts
-        hosts = sorted(need)
-        with network.phase(f"refresh-request:{fname}"):
-            for h in hosts:
-                acc = need[h]
-                owner = np.searchsorted(bounds, acc, side="right") - 1
-                for m in range(H):
-                    if m == h:
-                        continue
-                    ids = acc[owner == m]
-                    wire = plan.request_wire_bytes(len(ids))
-                    if wire > 0:
-                        network.send(h, m, wire, payload=ids)
-            for m in range(H):
-                network.drain(m)
-        with network.phase(f"refresh:{fname}"):
-            for m in range(H):
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                for h in hosts:
-                    if h == m:
-                        continue
-                    acc = need[h]
-                    ids = acc[(acc >= lo) & (acc < hi)]
-                    _ids, wire = plan.broadcast_selection(
-                        _empty_ids(), hi - lo, ids, dim
-                    )
-                    if wire > 0:
-                        network.send(m, h, wire, payload=(ids, canon[ids].copy()))
-            for h in hosts:
-                got: list[np.ndarray] = []
-                for _src, (ids, vals) in network.drain(h):
-                    if len(ids):
-                        self._apply_values(trainer, run, fname, h, ids, vals)
-                        got.append(ids)
-                if got:
-                    received = np.unique(np.concatenate(got))
-                    pending = state["pending_stale"].get((fname, h))
-                    if pending is not None:
-                        state["pending_stale"][(fname, h)] = np.setdiff1d(
-                            pending, received, assume_unique=True
-                        )
+        state = trainer._async_state
+        received = trainer._sync_of(fname).refresh(
+            trainer._fields[fname],
+            trainer.plan,
+            [need.get(h, _empty_ids()) for h in range(H)],
+            buffered=self._buffered(run, fname),
+        )
+        for h in sorted(need):
+            pending = state["pending_stale"].get((fname, h))
+            if pending is not None and received[h].size:
+                state["pending_stale"][(fname, h)] = np.setdiff1d(
+                    pending, received[h], assume_unique=True
+                )
 
-    def _apply_values(
-        self,
-        trainer: "GraphWord2Vec",
-        run: _RunState,
-        fname: str,
-        host: int,
-        ids: np.ndarray,
-        vals: np.ndarray,
-    ) -> None:
-        """Land canonical values on a mirror, preserving read-my-writes.
+    @staticmethod
+    def _buffered(run: _RunState, fname: str) -> dict[int, list[tuple]]:
+        """Per host, its captured not-yet-folded ``(ids, delta)`` entries.
 
-        The row becomes canonical-as-received *plus* the host's buffered
-        not-yet-folded deltas on it, written to array and base alike: the
-        host keeps seeing its own recent updates, the next capture still
-        measures only new work, and the buffered deltas fold later
-        untouched.  With no pending deltas (always at s=0) this is the
-        plain BSP broadcast overwrite, bit for bit.
+        Ascending rounds, so read-my-writes sums are deterministic.  Empty
+        at s=0, where every fold lands as a plain overwrite.
         """
-        field = trainer._fields[fname]
-        arr = field.arrays[host]
-        base = field.bases[host]
-        adjust = self._pending_adjustment(run, fname, host, ids, field.dim)
-        if adjust is None:
-            arr[ids] = vals
-            base[ids] = vals
-        else:
-            merged = (np.asarray(vals, dtype=np.float64) + adjust).astype(arr.dtype)
-            arr[ids] = merged
-            base[ids] = merged
-
-    def _pending_adjustment(
-        self, run: _RunState, fname: str, host: int, ids: np.ndarray, dim: int
-    ) -> np.ndarray | None:
-        """Sum of ``host``'s buffered unfolded deltas restricted to ``ids``.
-
-        ``None`` when no buffered round touches any of the rows (the
-        overwhelmingly common case, and always at s=0).  Rounds are
-        summed in ascending order for determinism.
-        """
-        if not ids.size:
-            return None
-        total: np.ndarray | None = None
+        buffered: dict[int, list[tuple]] = {}
         for key in sorted(k for k in run.contrib if k[0] == fname):
-            entry = run.contrib[key].get(host)
-            if entry is None:
-                continue
-            cids, delta, _drift = entry
-            if not cids.size:
-                continue
-            pos = np.searchsorted(cids, ids)
-            pos = np.clip(pos, 0, cids.size - 1)
-            hit = cids[pos] == ids
-            if not hit.any():
-                continue
-            if total is None:
-                total = np.zeros((len(ids), dim))
-            total[hit] += delta[pos[hit]]
-        return total
+            for h, (ids, delta, _drift) in sorted(run.contrib[key].items()):
+                if delta is not None and ids.size:
+                    buffered.setdefault(h, []).append((ids, delta))
+        return buffered
 
     def _fold_round(
         self,
@@ -822,8 +720,8 @@ class SSPTrainingEngine(TrainingEngine):
         """Fold global round ``g``: metrics, gluon sync, round bookkeeping.
 
         The sync frontier only ever advances to a round every host has
-        finished, so folds fire in global-round order; each one is the
-        async counterpart of a BSP round barrier's accounting + sync tail.
+        finished, so folds fire in global-round order; at s=0 each one is
+        the round barrier's accounting + sync tail.
         """
         S = trainer.sync_rounds
         e, s = divmod(g, S)
@@ -837,7 +735,7 @@ class SSPTrainingEngine(TrainingEngine):
             (run.inspect_buf, metrics.record_inspection),
             (run.recovery_buf, metrics.record_recovery),
         ):
-            buf = table.pop(g, None)
+            buf = table.get(g)
             if buf is not None:
                 for h in range(H):
                     if buf[h]:
@@ -852,9 +750,8 @@ class SSPTrainingEngine(TrainingEngine):
         # Priority-schedule the fields: dirtiest mirror state syncs first
         # (galois worklist; the metric is "rows still clean", so the
         # field with more dirty rows pops first).  At s=0 the declaration
-        # order is kept — the BSP loop always syncs embedding before
-        # training, and reordering would permute the fault injector's
-        # draw sequence, breaking bitwise degradation.
+        # order is kept — BSP syncs embedding before training, and
+        # reordering would permute the fault injector's draw sequence.
         if self.staleness == 0:
             order = list(_FIELD_ORDER)
         else:
@@ -868,7 +765,7 @@ class SSPTrainingEngine(TrainingEngine):
 
         lr = run.lr_of[g]
         for fname in order:
-            self._fold_field(trainer, run, fname, g, lr)
+            self._fold(trainer, run, fname, g, lr)
         metrics.end_round()
         run.fold_records[g] = (run.rec_cursor, len(network.phase_records))
         run.rec_cursor = len(network.phase_records)
@@ -884,7 +781,7 @@ class SSPTrainingEngine(TrainingEngine):
         if s + 1 == S:
             trainer._roll_epoch(e, epoch_callback)
 
-    def _fold_field(
+    def _fold(
         self,
         trainer: "GraphWord2Vec",
         run: _RunState,
@@ -892,176 +789,75 @@ class SSPTrainingEngine(TrainingEngine):
         g: int,
         lr: float,
     ) -> None:
-        """Fold round ``g``'s buffered deltas for one field into canon.
+        """Fold round ``g``'s contributions to one field (Gluon sync).
 
-        Mirrors :meth:`~repro.gluon.sync.GluonSynchronizer.sync_replicated`
-        phase-for-phase and byte-for-byte — same owner routing, same wire
-        formulas, same rotating inductive combiner order (``fold_offset``
-        = the global round, as the trainer passes it) — but reduces into
-        the canonical store instead of master replica rows, because under
-        SSP a master's replica also carries its own not-yet-folded local
-        work.  At s=0 replica rows equal canon on every touched row, so
-        each phase's payloads and writes are bit-identical to BSP's.
+        The inductive combiner order rotates with the global round (the
+        sync's ``fold_offset``), so no host's shard is permanently favored.
         """
         field = trainer._fields[fname]
-        sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
-        bounds = sync.bounds
         plan = trainer.plan
-        network = trainer.network
-        combiner = trainer.combiner
-        canon = trainer._canonical[fname]
         state = trainer._async_state
-        dim = field.dim
-        dtype = field.arrays[0].dtype
         H = trainer.num_hosts
         lam = self.delay_compensation
 
-        contribs_in = run.contrib.pop((fname, g), {})
-        touched: list[np.ndarray] = []
-        deltas: list[np.ndarray] = []
-        for h in range(H):
-            entry = contribs_in.get(h)
-            if entry is None:
-                touched.append(_empty_ids())
-                deltas.append(np.empty((0, dim)))
-                continue
-            ids, delta, drift_base = entry
-            if lam > 0 and ids.size:
-                # Drift = how far canon moved since this delta was
-                # captured; zero exactly when the contribution is fresh.
-                drift = canon[ids].astype(np.float64) - drift_base
-                delta = compensate_delta(delta, drift, lam, lr)
-            touched.append(ids)
-            deltas.append(delta)
-
-        # -- reduce phase: buffered deltas -> canonical masters ---------------
-        with network.phase(f"reduce:{fname}"):
+        entries = run.contrib.pop((fname, g))
+        flagged = [entries[h][0] for h in range(H)]
+        deltas = None
+        if self._captures:
+            deltas = []
             for h in range(H):
-                t, d = touched[h], deltas[h]
-                owner = np.searchsorted(bounds, t, side="right") - 1
-                for m in range(H):
-                    if m == h:
-                        continue
-                    sel = owner == m
-                    ids = t[sel]
-                    block = int(bounds[m + 1] - bounds[m])
-                    wire = plan.reduce_wire_bytes(len(ids), dim, block)
-                    if wire > 0:
-                        network.send(h, m, wire, payload=(ids, d[sel]))
-
-            changed_per_master: list[np.ndarray] = []
-            for m in range(H):
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                contribs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                own_sel = (touched[m] >= lo) & (touched[m] < hi)
-                contribs[m] = (touched[m][own_sel], deltas[m][own_sel])
-                for src, payload in network.drain(m):
-                    contribs[src] = payload
-                all_ids = [
-                    contribs[src][0] for src in sorted(contribs)
-                    if len(contribs[src][0])
-                ]
-                if not all_ids:
-                    changed_per_master.append(_empty_ids())
-                    continue
-                union = np.unique(np.concatenate(all_ids))
-                cstate = combiner.create(len(union), dim)
-                for src in sorted(contribs, key=lambda h: (h - g) % H):
-                    ids, vals = contribs[src]
-                    if len(ids) == 0:
-                        continue
-                    rows = np.searchsorted(union, ids)
-                    cstate.accumulate(rows, vals)
-                combined = cstate.result()
-                canonical = canon[union].astype(np.float64) + combined
-                new_vals = canonical.astype(dtype)
-                canon[union] = new_vals
-                self._apply_values(trainer, run, fname, m, union, new_vals)
-                changed_per_master.append(union)
-
-        # -- pull-request phase (PullModel only) ------------------------------
-        accessed_next: list[np.ndarray] | None = None
+                ids, delta, drift_base = entries[h]
+                if lam > 0 and ids.size:
+                    # Drift = how far canon moved since this delta was
+                    # captured; zero exactly when the contribution is fresh.
+                    drift = field.canonical[ids].astype(np.float64) - drift_base
+                    delta = compensate_delta(delta, drift, lam, lr)
+                deltas.append(delta)
+        accessed = None
         if plan.requires_access_sets:
-            accessed_next = [
-                np.asarray(
-                    state["next_access"].get((fname, h), _empty_ids()),
-                    dtype=np.int64,
-                )
-                for h in range(H)
+            accessed = [
+                state["next_access"].get((fname, h), _empty_ids()) for h in range(H)
             ]
-            with network.phase(f"request:{fname}"):
-                for h in range(H):
-                    acc = accessed_next[h]
-                    owner = np.searchsorted(bounds, acc, side="right") - 1
-                    for m in range(H):
-                        if m == h:
-                            continue
-                        ids = acc[owner == m]
-                        wire = plan.request_wire_bytes(len(ids))
-                        if wire > 0:
-                            network.send(h, m, wire, payload=ids)
-                for m in range(H):
-                    network.drain(m)
+        result = trainer._sync_of(fname).sync_replicated(
+            field,
+            flagged,
+            trainer.combiner,
+            plan,
+            accessed_next=accessed,
+            fold_offset=g,
+            deltas=deltas,
+            buffered=self._buffered(run, fname),
+        )
 
-        # -- broadcast phase: canon -> mirrors --------------------------------
-        with network.phase(f"broadcast:{fname}"):
-            for m in range(H):
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                changed = changed_per_master[m]
+        if self.staleness:
+            # PullModel staleness ledger: rows whose canon changed this
+            # fold that a mirror did not receive are now pending-stale for
+            # it; rows it did receive are fresh again.  (At s=0 every
+            # access set is covered by the fold before it, so nothing is
+            # ever pending.)  Per-master unions are ascending over
+            # disjoint ascending blocks, so the concatenation is sorted.
+            if plan.requires_access_sets:
+                bounds = trainer._sync_of(fname).bounds
+                nonempty = [c for c in result.changed_per_master if c.size]
+                changed_all = np.concatenate(nonempty) if nonempty else _empty_ids()
                 for h in range(H):
-                    if h == m:
-                        continue
-                    accessed = None
-                    if accessed_next is not None:
-                        acc = accessed_next[h]
-                        accessed = acc[(acc >= lo) & (acc < hi)]
-                    ids, wire = plan.broadcast_selection(
-                        changed, hi - lo, accessed, dim
+                    lo, hi = int(bounds[h]), int(bounds[h + 1])
+                    foreign = changed_all[(changed_all < lo) | (changed_all >= hi)]
+                    pending = state["pending_stale"].get((fname, h), _empty_ids())
+                    pending = np.union1d(pending, foreign)
+                    state["pending_stale"][(fname, h)] = np.setdiff1d(
+                        pending, result.received_per_host[h], assume_unique=True
                     )
-                    if wire > 0:
-                        network.send(
-                            m, h, wire, payload=(ids, canon[ids].copy())
-                        )
-            received_per_host: list[np.ndarray] = []
-            for h in range(H):
-                got: list[np.ndarray] = []
-                for _src, (ids, vals) in network.drain(h):
-                    if len(ids):
-                        self._apply_values(trainer, run, fname, h, ids, vals)
-                        got.append(ids)
-                received_per_host.append(
-                    np.unique(np.concatenate(got)) if got else _empty_ids()
-                )
 
-        # PullModel staleness ledger: rows whose canon changed this fold
-        # that a mirror did not receive are now pending-stale for it;
-        # rows it did receive are fresh again.  Per-master unions are
-        # ascending over disjoint ascending blocks, so the concatenation
-        # is already sorted.
-        if plan.requires_access_sets:
-            nonempty = [c for c in changed_per_master if c.size]
-            changed_all = (
-                np.concatenate(nonempty) if nonempty else _empty_ids()
-            )
-            for h in range(H):
-                lo, hi = int(bounds[h]), int(bounds[h + 1])
-                foreign = changed_all[(changed_all < lo) | (changed_all >= hi)]
-                pending = state["pending_stale"].get((fname, h), _empty_ids())
-                pending = np.union1d(pending, foreign)
-                pending = np.setdiff1d(
-                    pending, received_per_host[h], assume_unique=True
-                )
-                state["pending_stale"][(fname, h)] = pending
-
-        # Rebuild the dirty vector from the rounds still buffered.
-        fresh = BitVector(field.num_nodes)
-        for key in sorted(k for k in run.contrib if k[0] == fname):
-            per_host = run.contrib[key]
-            for h in sorted(per_host):
-                ids = per_host[h][0]
-                if ids.size:
-                    fresh.set_many(ids)
-        run.dirty[fname] = fresh
+            # Rebuild the dirty vector from the rounds still buffered.
+            fresh = BitVector(field.num_nodes)
+            for key in sorted(k for k in run.contrib if k[0] == fname):
+                per_host = run.contrib[key]
+                for h in sorted(per_host):
+                    ids = per_host[h][0]
+                    if ids.size:
+                        fresh.set_many(ids)
+            run.dirty[fname] = fresh
 
         if trainer.sync_checker is not None:
             trainer.sync_checker.note_async_fold(fname, g)
@@ -1090,7 +886,7 @@ class SSPTrainingEngine(TrainingEngine):
         end_m: dict[tuple[int, int], float] = {}
         ends_of: dict[int, list[float]] = {}
         last_fold = 0.0
-        offset = trainer._async_makespan_s
+        offset = trainer._makespan_s
         if trainer.async_timeline is None:
             trainer.async_timeline = AsyncTimeline(num_hosts=H)
         timeline = trainer.async_timeline
@@ -1099,7 +895,7 @@ class SSPTrainingEngine(TrainingEngine):
             if ev.kind == "start":
                 start_m[(h, g)] = max(avail[h], last_fold)
             elif ev.kind == "end":
-                dur = run.measured.get((h, g), 0.0)
+                dur = float(run.compute_buf[g][h])
                 end = start_m[(h, g)] + dur
                 end_m[(h, g)] = end
                 avail[h] = end

@@ -1,17 +1,13 @@
-"""The execution-engine seam: BSP and bounded-staleness engines behind one protocol.
-
-Two engine families share this module:
+"""Execution-engine seams for value-mode graph apps and the trainer.
 
 - :class:`Engine` — the structural protocol of the *value-mode* round loop
   (:class:`~repro.dgraph.bsp.BSPEngine` satisfies it), so graph-analytics
   applications can be written against the seam instead of the concrete BSP
   driver.
-- :class:`TrainingEngine` — the seam :class:`~repro.w2v.distributed.
-  GraphWord2Vec` trains through.  :class:`BSPTrainingEngine` houses the
-  classic barrier-synchronous epoch/round loop (previously inlined in the
-  trainer); :class:`~repro.dgraph.async_engine.SSPTrainingEngine` runs the
-  same rounds under a bounded-staleness clock.  Trainer code never imports
-  either concretely — it calls :func:`resolve_training_engine`.
+- :func:`resolve_training_engine` — builds the round driver
+  :class:`~repro.w2v.distributed.GraphWord2Vec` trains through, the one
+  :class:`~repro.dgraph.async_engine.SSPTrainingEngine`: ``"bsp"`` is its
+  staleness-0 schedule, ``"async"`` its bounded-staleness one.
 
 The delay-compensation arithmetic of the parameter-server baseline
 (:mod:`repro.baselines.param_server`) lives here as :func:`compensate_delta`
@@ -21,19 +17,15 @@ configuration (``delay_compensation=λ``) without duplicating the formula.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.w2v.distributed import GraphWord2Vec
-    from repro.w2v.model import Word2VecModel
+    from repro.dgraph.async_engine import SSPTrainingEngine
 
 __all__ = [
     "Engine",
-    "TrainingEngine",
-    "BSPTrainingEngine",
     "resolve_training_engine",
     "compensate_delta",
 ]
@@ -77,84 +69,21 @@ def compensate_delta(
     return delta - scale * delta * delta * drift
 
 
-class TrainingEngine(ABC):
-    """Round-loop driver for :class:`~repro.w2v.distributed.GraphWord2Vec`.
-
-    An engine owns *when* rounds execute and fold (the clock model); the
-    trainer owns *what* a round is (work generation, kernels, comm plans,
-    recovery bookkeeping).  ``run`` executes all rounds from the trainer's
-    current barrier position up to ``stop_epoch``/``until_round`` and
-    returns the modeled makespan of the executed span in seconds — or
-    ``None`` to use the default barrier makespan (sum over rounds of the
-    slowest host), which is exact for BSP.
-    """
-
-    name: str = "abstract"
-    #: Rounds a host may lead the slowest host by (0 = barrier-synchronous).
-    staleness: int = 0
-    #: Delay-compensation λ applied to stale contributions at fold time.
-    delay_compensation: float = 0.0
-
-    @abstractmethod
-    def run(
-        self,
-        trainer: "GraphWord2Vec",
-        stop_epoch: int,
-        until_round: int | None,
-        epoch_callback: Callable[[int, "Word2VecModel"], None] | None,
-    ) -> float | None:
-        """Execute rounds; returns the span's modeled makespan (or None)."""
-
-
-class BSPTrainingEngine(TrainingEngine):
-    """The classic barrier-synchronous loop: every round is a global barrier.
-
-    Hosts compute, recover, inspect and synchronize in lock-step; the
-    modeled wall-clock of a round is the slowest host's time, so the
-    default barrier makespan is exact and ``run`` returns ``None``.
-    """
-
-    name = "bsp"
-
-    def run(
-        self,
-        trainer: "GraphWord2Vec",
-        stop_epoch: int,
-        until_round: int | None,
-        epoch_callback: Callable[[int, "Word2VecModel"], None] | None,
-    ) -> float | None:
-        params = trainer.params
-        for epoch in range(trainer._completed_epochs, stop_epoch):
-            lr = params.learning_rate_for_epoch(epoch)
-            paused = False
-            for s in range(trainer._completed_rounds, trainer.sync_rounds):
-                if (
-                    until_round is not None
-                    and epoch * trainer.sync_rounds + s >= until_round
-                ):
-                    paused = True
-                    break
-                trainer._partial_pairs += trainer._run_round(epoch, s, lr)
-                trainer._completed_rounds = s + 1
-            if paused:
-                break
-            trainer._roll_epoch(epoch, epoch_callback)
-        return None
-
-
 def resolve_training_engine(
-    engine: str | TrainingEngine,
+    engine: "str | SSPTrainingEngine",
     staleness: int = 0,
     delay_compensation: float = 0.0,
-) -> TrainingEngine:
-    """Instantiate a training engine by name (``"bsp"`` / ``"async"``).
+) -> "SSPTrainingEngine":
+    """Instantiate the training engine by name (``"bsp"`` / ``"async"``).
 
-    ``staleness``/``delay_compensation`` parameterize the async engine;
-    they must be left at their defaults for ``"bsp"`` (a barrier engine
-    has no staleness window to bound or compensate).  A pre-built
-    :class:`TrainingEngine` instance passes through unchanged.
+    ``"bsp"`` is the staleness-0 engine; ``staleness``/``delay_compensation``
+    must be left at their defaults for it (a barrier schedule has no
+    staleness window to bound or compensate).  ``"async"`` (alias
+    ``"ssp"``) takes both.  A pre-built engine passes through unchanged.
     """
-    if isinstance(engine, TrainingEngine):
+    from repro.dgraph.async_engine import SSPTrainingEngine
+
+    if isinstance(engine, SSPTrainingEngine):
         return engine
     if engine == "bsp":
         if staleness != 0:
@@ -166,10 +95,8 @@ def resolve_training_engine(
                 "delay_compensation requires engine='async' "
                 "(BSP folds are never stale)"
             )
-        return BSPTrainingEngine()
+        return SSPTrainingEngine()
     if engine in ("async", "ssp"):
-        from repro.dgraph.async_engine import SSPTrainingEngine
-
         return SSPTrainingEngine(
             staleness=staleness, delay_compensation=delay_compensation
         )

@@ -2,13 +2,17 @@
 
 Two synchronization modes cover the library's needs:
 
-- :meth:`GluonSynchronizer.sync_replicated` — the GraphWord2Vec mode.  The
+- :meth:`GluonSynchronizer.sync_replicated` — the GraphWord2Vec mode, and
+  the only implementation of its reduce/request/broadcast arithmetic.  The
   model (one or more ``(N, dim)`` label arrays) is replicated on all hosts;
-  each sync round, mirrors ship their accumulated *deltas* (current − base)
-  to the node's master, the master folds them with a
-  :class:`~repro.core.combiners.GradientCombiner` (model combiner, averaging,
-  sum, ...) on top of the canonical value, and new canonical values are
-  broadcast back according to a :class:`~repro.gluon.plans.CommPlan`.
+  each sync round, mirrors ship their accumulated *deltas* (current − base,
+  or deltas the caller captured earlier) to the node's master, the master
+  folds them with a :class:`~repro.core.combiners.GradientCombiner` (model
+  combiner, averaging, sum, ...) on top of the canonical value, and new
+  canonical values are broadcast back according to a
+  :class:`~repro.gluon.plans.CommPlan`.  :meth:`GluonSynchronizer.refresh`
+  and :meth:`GluonSynchronizer.restore_host` reuse its pull and broadcast
+  paths for stale-row refreshes and crash recovery.
 - :meth:`GluonSynchronizer.sync_value` — the classic graph-analytics mode
   used by the apps in :mod:`repro.dgraph.apps`.  Mirrors send their label
   *values*; masters reduce them with an elementwise operator (min for sssp,
@@ -23,7 +27,7 @@ data movement cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,16 +45,21 @@ class FieldSync:
     """A replicated model field registered for synchronization.
 
     ``arrays[h]`` is host ``h``'s replica, shape ``(N, dim)``; ``bases[h]``
-    is the snapshot taken at the start of the current round (what deltas are
-    measured against).  Both are updated in place by the synchronizer.
+    is what host ``h``'s next delta is measured against.  ``canonical`` is
+    the field's canonical store: reductions write it and broadcasts,
+    refreshes and crash restores read it, so replicas — masters included
+    — may run ahead of it with unreduced local work.  All are updated in
+    place by the synchronizer.
     """
 
     name: str
     arrays: list[np.ndarray]
     bases: list[np.ndarray]
+    canonical: np.ndarray
 
     def __post_init__(self) -> None:
         shapes = {a.shape for a in self.arrays} | {b.shape for b in self.bases}
+        shapes.add(self.canonical.shape)
         if len(shapes) != 1:
             raise ValueError(f"field {self.name!r}: inconsistent replica shapes {shapes}")
         if self.arrays[0].ndim != 2:
@@ -68,6 +77,35 @@ class FieldSync:
         """Record current replica values as the new delta baseline."""
         for base, arr in zip(self.bases, self.arrays):
             np.copyto(base, arr)
+
+
+def _empty_ids() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+def _with_buffered(
+    vals: np.ndarray,
+    ids: np.ndarray,
+    entries: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Canonical ``vals`` for rows ``ids`` plus a host's buffered deltas.
+
+    Read-my-writes: a host holding buffered (unreduced) ``(ids, delta)``
+    entries (sorted, non-empty ids) on those rows keeps them on top, so
+    it still sees its own recent writes.  Entries are summed in the order
+    given (ascending rounds), so the result is deterministic.
+    """
+    total: np.ndarray | None = None
+    for cids, delta in entries:
+        pos = np.clip(np.searchsorted(cids, ids), 0, cids.size - 1)
+        hit = cids[pos] == ids
+        if hit.any():
+            if total is None:
+                total = np.zeros(vals.shape)
+            total[hit] += delta[pos[hit]]
+    if total is None:
+        return vals
+    return (vals.astype(np.float64) + total).astype(vals.dtype)
 
 
 @dataclass
@@ -148,19 +186,32 @@ class GluonSynchronizer:
     def sync_replicated(
         self,
         field: FieldSync,
-        updated: Sequence[BitVector],
+        updated: Sequence[np.ndarray],
         combiner: GradientCombiner,
         plan: CommPlan,
         accessed_next: Sequence[np.ndarray] | None = None,
         fold_offset: int = 0,
+        deltas: Sequence[np.ndarray] | None = None,
+        buffered: Mapping[int, Sequence[tuple[np.ndarray, np.ndarray]]] | None = None,
     ) -> ReplicatedSyncResult:
         """One reduce+broadcast round for a replicated field.
 
-        ``updated[h]`` flags the nodes host ``h`` wrote since its base
-        snapshot.  ``accessed_next[h]`` (sorted global ids) is required by
-        plans with :attr:`~repro.gluon.plans.CommPlan.requires_access_sets`.
-        Bit vectors are *not* cleared and bases are *not* re-snapshotted here
-        — the trainer owns round boundaries (it may sync several fields).
+        ``updated[h]`` names the nodes host ``h`` wrote since its base
+        snapshot, as sorted unique global ids.
+        ``deltas[h]`` (float64, aligned with ``updated[h]``) is the
+        host's captured contribution; without it the delta is read off
+        the replica as current − base.  ``accessed_next[h]`` (sorted
+        global ids) is required by plans with
+        :attr:`~repro.gluon.plans.CommPlan.requires_access_sets`.
+
+        Masters reduce into the field's canonical store
+        (:attr:`FieldSync.canonical`) and broadcast from it.
+        ``buffered[h]`` lists host ``h``'s captured contributions that are
+        not part of this reduction (rounds a run-ahead host finished
+        since).  Canonical values landing on those rows keep them on top
+        (read-my-writes); hosts without buffered rows take a plain
+        overwrite.  Every landed row is rebased, so the next delta
+        measures only new work.
 
         ``fold_offset`` rotates the (order-dependent) inductive fold of
         contributions: host ``fold_offset % H`` is folded first this round.
@@ -170,7 +221,7 @@ class GluonSynchronizer:
         """
         H = self.num_hosts
         if len(updated) != H:
-            raise ValueError(f"need {H} updated bit-vectors, got {len(updated)}")
+            raise ValueError(f"need {H} updated id arrays, got {len(updated)}")
         if plan.requires_access_sets and accessed_next is None:
             raise ValueError(f"plan {plan.name} requires access sets")
         for part in self.partitions:
@@ -181,17 +232,26 @@ class GluonSynchronizer:
                 )
         dim = field.dim
         dtype = field.arrays[0].dtype
+        touched = [np.asarray(u, dtype=np.int64) for u in updated]
+        accessed = (
+            [np.asarray(a, dtype=np.int64) for a in accessed_next]  # type: ignore[union-attr]
+            if plan.requires_access_sets
+            else None
+        )
 
         if self.checker is not None:
             # Validate writes-vs-flags while replicas are still untouched.
-            self.checker.before_replicated(field, self.bounds, updated)
-
-        touched = [updated[h].indices() for h in range(H)]
-        deltas = [
-            (field.arrays[h][touched[h]].astype(np.float64) -
-             field.bases[h][touched[h]].astype(np.float64))
-            for h in range(H)
-        ]
+            # Captured deltas were read when their step ran, possibly
+            # before earlier folds landed; their reads are audited there.
+            self.checker.before_replicated(
+                field, self.bounds, touched, audit_reads=deltas is None
+            )
+        if deltas is None:
+            deltas = [
+                (field.arrays[h][touched[h]].astype(np.float64) -
+                 field.bases[h][touched[h]].astype(np.float64))
+                for h in range(H)
+            ]
 
         # -- reduce phase: mirrors -> masters ---------------------------------
         with self.network.phase(f"reduce:{field.name}") as reduce_record:
@@ -223,7 +283,7 @@ class GluonSynchronizer:
                     if len(contribs[src][0])
                 ]
                 if not all_ids:
-                    changed_per_master.append(np.empty(0, dtype=np.int64))
+                    changed_per_master.append(_empty_ids())
                     continue
                 union = np.unique(np.concatenate(all_ids))
                 state = combiner.create(len(union), dim)
@@ -234,84 +294,35 @@ class GluonSynchronizer:
                     rows = np.searchsorted(union, ids)
                     state.accumulate(rows, vals)
                 combined = state.result()
-                canonical = field.bases[m][union].astype(np.float64) + combined
-                field.arrays[m][union] = canonical.astype(dtype)
+                canonical = field.canonical
+                new_vals = (canonical[union].astype(np.float64) + combined).astype(dtype)
+                canonical[union] = new_vals
+                entries = buffered.get(m) if buffered else None
+                if entries:
+                    new_vals = _with_buffered(new_vals, union, entries)
+                field.arrays[m][union] = new_vals
+                field.bases[m][union] = new_vals
                 changed_per_master.append(union)
 
         # -- pull-request phase (PullModel only) ------------------------------
         request_record: PhaseRecord | None = None
-        if plan.requires_access_sets:
-            assert accessed_next is not None
-            with self.network.phase(f"request:{field.name}") as request_record:
-                for h in range(H):
-                    acc = np.asarray(accessed_next[h], dtype=np.int64)
-                    owner = np.searchsorted(self.bounds, acc, side="right") - 1
-                    for m in range(H):
-                        if m == h:
-                            continue
-                        ids = acc[owner == m]
-                        wire = plan.request_wire_bytes(len(ids))
-                        if wire > 0:
-                            self.network.send(h, m, wire, payload=ids)
-                # Masters consume the requests (content == accessed_next,
-                # which the broadcast below re-derives; drain keeps inboxes
-                # and the data/accounting paths consistent).
-                for m in range(H):
-                    self.network.drain(m)
+        if accessed is not None:
+            request_record = self._request(f"request:{field.name}", plan, accessed)
 
         # -- broadcast phase: masters -> mirrors ------------------------------
-        with self.network.phase(f"broadcast:{field.name}") as broadcast_record:
-            for m in range(H):
-                lo, hi = int(self.bounds[m]), int(self.bounds[m + 1])
-                changed = changed_per_master[m]
-                for h in range(H):
-                    if h == m:
-                        continue
-                    accessed = None
-                    if plan.requires_access_sets:
-                        acc = np.asarray(accessed_next[h], dtype=np.int64)  # type: ignore[index]
-                        accessed = acc[(acc >= lo) & (acc < hi)]
-                    ids, wire = plan.broadcast_selection(
-                        changed, hi - lo, accessed, dim
-                    )
-                    if wire > 0:
-                        self.network.send(
-                            m, h, wire, payload=(ids, field.arrays[m][ids].copy())
-                        )
-            received_per_host: list[np.ndarray] = []
-            for h in range(H):
-                got: list[np.ndarray] = []
-                for _src, (ids, vals) in self.network.drain(h):
-                    if len(ids):
-                        field.arrays[h][ids] = vals
-                        got.append(ids)
-                received_per_host.append(
-                    np.unique(np.concatenate(got)) if got else np.empty(0, np.int64)
-                )
-
-        # Repair the delta baselines: after the sync every overwritten replica
-        # row and every master row holds a canonical value, which is the new
-        # reference the next round's deltas are measured against.  Rows a
-        # plan chose not to refresh (PullModel) keep their old base — they
-        # will be refreshed (and re-based) before the host may touch them.
-        for h in range(H):
-            ids = received_per_host[h]
-            if len(ids):
-                field.bases[h][ids] = field.arrays[h][ids]
-        for m in range(H):
-            ids = changed_per_master[m]
-            if len(ids):
-                field.bases[m][ids] = field.arrays[m][ids]
+        broadcast_record, received_per_host = self._broadcast(
+            f"broadcast:{field.name}", field, plan, changed_per_master, accessed, buffered
+        )
 
         if self.checker is not None:
             self.checker.after_replicated(
                 field,
                 self.bounds,
                 plan,
-                updated,
+                touched,
                 changed_per_master,
                 received_per_host,
-                accessed_next,
+                accessed,
             )
 
         return ReplicatedSyncResult(
@@ -323,6 +334,100 @@ class GluonSynchronizer:
             received_per_host=received_per_host,
         )
 
+    def refresh(
+        self,
+        field: FieldSync,
+        plan: CommPlan,
+        need: Sequence[np.ndarray],
+        buffered: Mapping[int, Sequence[tuple[np.ndarray, np.ndarray]]] | None = None,
+    ) -> list[np.ndarray]:
+        """Pull rows ``need[h]`` (sorted global ids) to each host, unreduced.
+
+        The pull phases of :meth:`sync_replicated` with nothing changed:
+        an id-only request, then the masters' canonical values, under
+        ``refresh-request:``/``refresh:`` phase names so the byte
+        breakdown shows this traffic separately.  Values land as in
+        :meth:`sync_replicated` (read-my-writes over ``buffered``).
+        Returns the rows each host received.
+        """
+        self._request(f"refresh-request:{field.name}", plan, need)
+        empty = [_empty_ids()] * self.num_hosts
+        _record, received = self._broadcast(
+            f"refresh:{field.name}", field, plan, empty, need, buffered
+        )
+        if self.checker is not None:
+            self.checker.after_refresh(field, received)
+        return received
+
+    def _request(
+        self, phase: str, plan: CommPlan, accessed: Sequence[np.ndarray]
+    ) -> PhaseRecord:
+        """Id-only pull requests: every host asks each master for its rows."""
+        H = self.num_hosts
+        with self.network.phase(phase) as record:
+            for h in range(H):
+                acc = accessed[h]
+                owner = np.searchsorted(self.bounds, acc, side="right") - 1
+                for m in range(H):
+                    if m == h:
+                        continue
+                    ids = acc[owner == m]
+                    wire = plan.request_wire_bytes(len(ids))
+                    if wire > 0:
+                        self.network.send(h, m, wire, payload=ids)
+            # Masters consume the requests (content == accessed, which the
+            # broadcast re-derives; drain keeps inboxes and the
+            # data/accounting paths consistent).
+            for m in range(H):
+                self.network.drain(m)
+        return record
+
+    def _broadcast(
+        self,
+        phase: str,
+        field: FieldSync,
+        plan: CommPlan,
+        changed_per_master: Sequence[np.ndarray],
+        accessed: Sequence[np.ndarray] | None,
+        buffered: Mapping[int, Sequence[tuple[np.ndarray, np.ndarray]]] | None,
+    ) -> tuple[PhaseRecord, list[np.ndarray]]:
+        """Masters ship canonical rows to mirrors; returns rows received."""
+        H = self.num_hosts
+        dim = field.dim
+        with self.network.phase(phase) as record:
+            for m in range(H):
+                lo, hi = int(self.bounds[m]), int(self.bounds[m + 1])
+                changed = changed_per_master[m]
+                for h in range(H):
+                    if h == m:
+                        continue
+                    acc_block = None
+                    if accessed is not None:
+                        acc = accessed[h]
+                        acc_block = acc[(acc >= lo) & (acc < hi)]
+                    ids, wire = plan.broadcast_selection(changed, hi - lo, acc_block, dim)
+                    if wire > 0:
+                        self.network.send(m, h, wire, payload=(ids, field.canonical[ids].copy()))
+            received_per_host: list[np.ndarray] = []
+            for h in range(H):
+                array = field.arrays[h]
+                entries = buffered.get(h) if buffered else None
+                got: list[np.ndarray] = []
+                for _src, (ids, vals) in self.network.drain(h):
+                    if len(ids):
+                        array[ids] = _with_buffered(vals, ids, entries) if entries else vals
+                        got.append(ids)
+                received = np.unique(np.concatenate(got)) if got else _empty_ids()
+                # Repair the delta baseline in bulk: every overwritten row
+                # now holds a canonical value, the reference the next delta
+                # is measured against.  Rows a plan chose not to refresh
+                # (PullModel) keep their old base — they are refreshed (and
+                # rebased) before the host may touch them.
+                if len(received):
+                    field.bases[h][received] = field.arrays[h][received]
+                received_per_host.append(received)
+        return record, received_per_host
+
     # ------------------------------------------------------------------
     # Crash recovery (fault injection)
     # ------------------------------------------------------------------
@@ -330,13 +435,11 @@ class GluonSynchronizer:
         """Rebuild ``host``'s replica of ``field`` after a fail-stop crash.
 
         Every surviving master streams its full canonical block to the
-        recovering host.  Masters read from their delta *bases*, which hold
-        the canonical values of the last completed round (bases of master
-        rows are only rewritten by the post-sync repair), so the transfer is
-        correct even while survivors are mid-round.  Blocks are contiguous,
-        so ids stay implicit on the wire.  The recovering host's own master
-        block is not touched — the caller restores it from the round
-        checkpoint (stable storage), which is the only surviving copy.
+        recovering host, read from the field's canonical store, which only
+        reductions write — so the transfer is correct even while survivors
+        are mid-round or running ahead.  Blocks are contiguous, so ids stay
+        implicit on the wire.  The recovering host's own master block is
+        not touched — the caller restores it from stable storage.
 
         Returns the wire bytes charged to the ``{phase}:{field}`` records.
         """
@@ -356,7 +459,10 @@ class GluonSynchronizer:
                     m,
                     host,
                     wire,
-                    payload=(np.arange(lo, hi, dtype=np.int64), field.bases[m][lo:hi].copy()),
+                    payload=(
+                        np.arange(lo, hi, dtype=np.int64),
+                        field.canonical[lo:hi].copy(),
+                    ),
                 )
             for _src, (ids, vals) in self.network.drain(host):
                 field.arrays[host][ids] = vals

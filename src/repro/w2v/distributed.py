@@ -14,7 +14,10 @@ both label fields through Gluon: mirrors ship *deltas* since the round's
 base, the master folds them with the configured combiner (model combiner
 by default), and new canonical values are broadcast back under the
 configured communication plan (RepModel-Naive / RepModel-Opt / PullModel).
-After all rounds the learning rate decays and the next epoch begins.
+After all rounds the learning rate decays and the next epoch begins.  The
+round loop is :class:`~repro.dgraph.async_engine.SSPTrainingEngine`:
+``engine="bsp"`` is its staleness-0 schedule (every round a barrier), and
+``engine="async"`` lets hosts run up to ``staleness`` rounds ahead.
 
 Configurations.  The paper evaluates Skip-Gram with negative sampling; all
 four {Skip-Gram, CBOW} x {negative sampling, hierarchical softmax}
@@ -28,27 +31,26 @@ are pure functions of the seed — in particular the *same* training examples
 are generated under every communication plan, which is what makes the
 "plans differ only in bytes, never in the model" invariant testable.
 
-Fault tolerance.  With ``faults`` enabled the trainer takes a canonical
-round-granular checkpoint at every synchronization boundary and consults a
-:class:`~repro.cluster.faults.FaultSchedule`.  Transient message faults are
-retransmitted inside the phase barrier (extra bytes + backoff, payloads
-intact).  A fail-stop host crash loses the host's replica and its in-round
-work; recovery restores the host's own master block from the checkpoint,
-streams surviving masters' blocks over the network, and replays the lost
-worklist chunk.  Because replicas hold canonical values at round boundaries
-and work generation is seed-pure, the replayed updates are *bit-identical*
-to the lost ones: faults cost time and bytes, never model quality.  The
-modeled recovery time redistributes the dead host's shard across the
-surviving hosts — consistent with how the simulation treats all wall-clock
-(values come from the sequential execution, time from the concurrency
-model).  The schedule itself is a pure function of the seed, so faulty runs
-are exactly as reproducible as fault-free ones.
+Fault tolerance.  With ``faults`` enabled the trainer consults a
+:class:`~repro.cluster.faults.FaultSchedule`; the fields' canonical store
+is the round-granular checkpoint crash recovery restores from.  Transient
+message faults are retransmitted inside the phase barrier (extra bytes +
+backoff, payloads intact).  A fail-stop host crash loses the host's replica
+and its in-round work; recovery restores the host's own master block from
+the checkpoint, streams surviving masters' blocks over the network, and
+replays the lost worklist chunk.  Because the restored replica holds
+canonical values and work generation is seed-pure, the replayed updates are
+*bit-identical* to the lost ones: faults cost time and bytes, never model
+quality.  The modeled recovery time redistributes the dead host's shard
+across the surviving hosts — consistent with how the simulation treats all
+wall-clock (values come from the sequential execution, time from the
+concurrency model).  The schedule itself is a pure function of the seed, so
+faulty runs are exactly as reproducible as fault-free ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import time
 from typing import Callable
 
 import numpy as np
@@ -57,8 +59,6 @@ from repro.analysis.runtime import (
     DoAllRaceSanitizer,
     GluonSyncChecker,
     SanitizedExecutor,
-    SanitizeError,
-    note_write,
     sanitize_from_env,
 )
 from repro.cluster.faults import FaultConfig, FaultReport, FaultSchedule
@@ -66,25 +66,28 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.network import NetworkModel, SCALED_DEFAULT
 from repro.cluster.simulator import DistributedRunReport
 from repro.core.combiners import GradientCombiner, get_combiner
-from repro.dgraph.engine import TrainingEngine, resolve_training_engine
+from repro.dgraph.async_engine import SSPTrainingEngine
+from repro.dgraph.engine import resolve_training_engine
 from repro.galois.do_all import (
     DoAllExecutor,
     SerialExecutor,
-    do_all,
     executor_from_env,
     resolve_executor,
 )
-from repro.gluon.bitvector import BitVector
-from repro.gluon.comm import VALUE_BYTES, SimulatedNetwork
+from repro.gluon.comm import SimulatedNetwork
 from repro.gluon.partitioner import replicate_all_partitions
 from repro.gluon.plans import CommPlan, get_plan
-from repro.gluon.proxies import master_block_slice
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.corpus import Corpus
 from repro.text.negative_sampling import UnigramTable
 from repro.util.rng import SeedSequenceTree
 from repro.w2v.huffman import HuffmanTree
-from repro.w2v.io import CheckpointState, load_checkpoint_blob, save_checkpoint_blob
+from repro.w2v.io import (
+    CheckpointError,
+    CheckpointState,
+    load_checkpoint_blob,
+    save_checkpoint_blob,
+)
 from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
 from repro.w2v.steps import RoundWork, build_round_work, output_rows_for
@@ -131,7 +134,7 @@ class GraphWord2Vec:
         executor: DoAllExecutor | None = None,
         workers: int | None = None,
         sanitize: bool | None = None,
-        engine: str | TrainingEngine = "bsp",
+        engine: str | SSPTrainingEngine = "bsp",
         staleness: int = 0,
         delay_compensation: float = 0.0,
     ):
@@ -198,10 +201,9 @@ class GraphWord2Vec:
             get_combiner(combiner) if isinstance(combiner, str) else combiner
         )
         self.plan = get_plan(plan) if isinstance(plan, str) else plan
-        # The execution engine owns the round loop's clock model: "bsp"
-        # (every round a global barrier) or "async" (bounded-staleness
-        # SSP; see repro.dgraph.async_engine).  Trainer code talks to the
-        # TrainingEngine seam only.
+        # The engine owns the round loop's clock model: "bsp" is SSP with
+        # staleness 0 (every round a global barrier), "async" lets hosts
+        # run ahead (see repro.dgraph.async_engine).
         self.engine = resolve_training_engine(
             engine, staleness=staleness, delay_compensation=delay_compensation
         )
@@ -257,7 +259,6 @@ class GraphWord2Vec:
             if self.fault_schedule is not None
             else None
         )
-        self._round_checkpoint: Word2VecModel | None = None
 
         vocab = corpus.vocabulary
         self._keep_prob = vocab.keep_probabilities(params.subsample_threshold)
@@ -289,26 +290,25 @@ class GraphWord2Vec:
             self._sync_emb.checker = self.sync_checker
             self._sync_out.checker = self.sync_checker
         self.metrics = ClusterMetrics(self.num_hosts)
-        self.bounds = self.partitions[0].master_bounds
-        self.bounds_out = self.partitions_out[0].master_bounds
 
         # Model replicas: identical initialization on every host (all hosts
         # derive it from the shared seed, as they derive node ids from the
-        # shared hash function).
+        # shared hash function), plus each field's canonical store, which
+        # only folds write.
         init = Word2VecModel.initialize(
             vocab_size, params.dim, self._seeds.child("init"), output_rows=output_rows
         )
         self._fields = {
-            "embedding": FieldSync(
-                "embedding",
-                arrays=[init.embedding.copy() for _ in range(self.num_hosts)],
-                bases=[init.embedding.copy() for _ in range(self.num_hosts)],
-            ),
-            "training": FieldSync(
-                "training",
-                arrays=[init.training.copy() for _ in range(self.num_hosts)],
-                bases=[init.training.copy() for _ in range(self.num_hosts)],
-            ),
+            name: FieldSync(
+                name,
+                arrays=[values.copy() for _ in range(self.num_hosts)],
+                bases=[values.copy() for _ in range(self.num_hosts)],
+                canonical=values.copy(),
+            )
+            for name, values in (
+                ("embedding", init.embedding),
+                ("training", init.training),
+            )
         }
 
         # Per-host contiguous shards of the corpus (Algorithm 1, line 4).
@@ -323,14 +323,12 @@ class GraphWord2Vec:
         # and the training pairs those rounds processed.
         self._completed_rounds = 0
         self._partial_pairs = 0
-        # Async-engine state (unused under BSP): the canonical value store
-        # (the fold frontier's ground truth), bounded-staleness bookkeeping
-        # (pending-stale rows, next-round access sets), the replayed
-        # event-order makespan of the spans trained so far, and the
-        # step/fold timeline the Chrome trace renders.
-        self._canonical: dict[str, np.ndarray] | None = None
+        # Engine state: bounded-staleness bookkeeping (pending-stale rows,
+        # next-round access sets), the replayed event-order makespan of the
+        # spans trained so far, and the step/fold timeline the Chrome trace
+        # renders.
         self._async_state: dict | None = None
-        self._async_makespan_s = 0.0
+        self._makespan_s = 0.0
         self.async_timeline = None
 
     # ------------------------------------------------------------------
@@ -363,17 +361,12 @@ class GraphWord2Vec:
         # ``e`` from the last round of ``e-1``), epochs ``< e`` can never be
         # asked for again — drop them so their shuffled sentence lists don't
         # pin dead corpus memory for the rest of the run.
-        # The cache writes below are reachable from the parallel
-        # ``inspect_host`` operator, but never race: ``_run_round``
-        # materializes the inspected epoch serially before fanning out
-        # (see "materialize serially"), so the operator only ever hits the
-        # already-populated cache.
-        self._epoch_chunks_cache = {  # repro: noqa[REPRO111]
+        self._epoch_chunks_cache = {
             k: self._epoch_chunks_cache[k]
             for k in sorted(self._epoch_chunks_cache)
             if k >= epoch
         }
-        self._epoch_chunks_cache[epoch] = per_host  # repro: noqa[REPRO111]
+        self._epoch_chunks_cache[epoch] = per_host
         return per_host
 
     def _get_work(self, epoch: int, round_index: int, host: int) -> RoundWork:
@@ -446,9 +439,9 @@ class GraphWord2Vec:
         params = self.params
         stop = params.epochs if until_epoch is None else min(until_epoch, params.epochs)
 
-        makespan = self.engine.run(self, stop, until_round, epoch_callback)
-        if makespan is not None:
-            self._async_makespan_s += makespan
+        self._makespan_s += self.engine.run(
+            self, stop, until_round, epoch_callback
+        )
 
         if self.fault_report is not None:
             self.fault_report.absorb_injector(self._fault_injector)
@@ -464,9 +457,7 @@ class GraphWord2Vec:
             pairs_processed=self._pairs_total + self._partial_pairs,
             peak_replica_rows=self._peak_access_rows,
             fault_report=self.fault_report,
-            makespan_s=(
-                self._async_makespan_s if self.engine.name != "bsp" else None
-            ),
+            makespan_s=self._makespan_s,
         )
         return DistributedTrainResult(
             model=self.canonical_model(),
@@ -481,9 +472,8 @@ class GraphWord2Vec:
     ) -> None:
         """Close out ``epoch``: pair accounting, progress, user callback.
 
-        Called by the engines at every epoch boundary (the last round of
-        the epoch has folded), so callbacks observe the same canonical
-        states under BSP and async execution.
+        Called by the engine at every epoch boundary (the last round of
+        the epoch has folded).
         """
         self._pairs_total += self._partial_pairs
         self._epoch_pairs.append(self._partial_pairs)
@@ -492,164 +482,6 @@ class GraphWord2Vec:
         self._completed_epochs = epoch + 1
         if epoch_callback is not None:
             epoch_callback(epoch, self.canonical_model())
-
-    def _run_round(self, epoch: int, s: int, lr: float) -> int:
-        """Execute one synchronization round; returns pairs processed."""
-        params = self.params
-        emb_field = self._fields["embedding"]
-        out_field = self._fields["training"]
-        V = emb_field.num_nodes
-        O = out_field.num_nodes
-        schedule = self.fault_schedule
-        crashes = schedule.crashes_at(epoch, s) if schedule is not None else ()
-        if schedule is not None and schedule.has_crashes:
-            # Round-granular checkpoint: the canonical state at this
-            # boundary is what crash recovery restores from.  Writes are
-            # modeled as asynchronous (overlapped with the next round's
-            # compute), so checkpointing itself costs no modeled time;
-            # restores are charged when a crash happens.
-            self._round_checkpoint = self.canonical_model()
-        crashed_hosts = {ev.host for ev in crashes}
-        round_pairs = 0
-
-        self.metrics.begin_round()
-        updated_emb = [BitVector(V) for _ in range(self.num_hosts)]
-        updated_out = [BitVector(O) for _ in range(self.num_hosts)]
-
-        # -- compute phase (hosts run concurrently on a cluster; the
-        #    executor mirrors that on real cores).  Work generation stays
-        #    serial — it mutates the shared caches — then the kernels run
-        #    under the executor on *disjoint* per-host replica arrays, and
-        #    the accounting folds serially in host order.  Results and
-        #    metrics are therefore bit-identical to SerialExecutor under
-        #    any executor and any thread schedule.
-        live_hosts = [h for h in range(self.num_hosts) if h not in crashed_hosts]
-        works = {h: self._pop_work(epoch, s, h) for h in live_hosts}
-        compute_slots: list[tuple[float, int] | None] = [None] * self.num_hosts
-
-        def compute_host(host: int) -> None:
-            # thread_time = this thread's CPU time: the measurement feeding
-            # the timing model stays contention-independent, so reported
-            # per-host times do not change just because the simulator itself
-            # runs hosts concurrently.
-            start = time.thread_time()
-            _loss, pairs = works[host].apply(
-                emb_field.arrays[host],
-                out_field.arrays[host],
-                lr,
-                params.batch_pairs,
-                compute_loss=self.compute_loss,
-            )
-            compute_slots[host] = (time.thread_time() - start, pairs)
-            # Shadow access records for the race sanitizer (no-ops when the
-            # loop is not sanitized).  Hosts write disjoint replica arrays,
-            # so a clean report here is the parallel-compute invariant.
-            work = works[host]
-            note_write(
-                emb_field.arrays[host], work.embedding_access,
-                label=f"embedding[host={host}]",
-            )
-            note_write(
-                out_field.arrays[host], work.output_access,
-                label=f"training[host={host}]",
-            )
-
-        do_all(live_hosts, compute_host, executor=self.executor)
-
-        base_times: list[float] = []
-        slow_times: list[float] = []
-        for host in live_hosts:
-            measured, pairs = compute_slots[host]
-            work = works[host]
-            self.metrics.record_compute(
-                host, measured * self._time_factor(epoch, s, host)
-            )
-            base_times.append(measured * self.host_speed_factors[host])
-            slow_times.append(measured * self._time_factor(epoch, s, host))
-            if work.embedding_access.size:
-                updated_emb[host].set_many(work.embedding_access)
-            if work.output_access.size:
-                updated_out[host].set_many(work.output_access)
-            round_pairs += pairs
-        if (
-            self.fault_report is not None
-            and slow_times
-            and slow_times != base_times
-        ):
-            self.fault_report.straggler_rounds += 1
-            self.fault_report.straggler_extra_s += max(slow_times) - max(base_times)
-
-        # -- recovery phase: failures surface at the barrier.
-        if crashes:
-            round_pairs += self._recover_crashes(
-                epoch, s, lr, crashes, updated_emb, updated_out
-            )
-
-        # -- inspection phase (PullModel): generate the next round's
-        #    edges to learn which nodes each host will access.  Example
-        #    generation is a pure function of the seed tree, so hosts
-        #    inspect concurrently under the executor; the shared caches are
-        #    touched only serially (chunk shuffle before, memoization after).
-        accessed_emb = accessed_out = None
-        if self.plan.requires_access_sets:
-            accessed_emb, accessed_out = [], []
-            next_slot = self._next_slot(epoch, s)
-            if next_slot is None:
-                empty = np.empty(0, dtype=np.int64)
-                accessed_emb = [empty] * self.num_hosts
-                accessed_out = [empty] * self.num_hosts
-            else:
-                self._epoch_chunks(next_slot[0])  # materialize serially
-                inspect_slots: list[tuple[RoundWork, float] | None] = (
-                    [None] * self.num_hosts
-                )
-
-                def inspect_host(host: int) -> None:
-                    start = time.thread_time()
-                    key = (next_slot[0], next_slot[1], host)
-                    next_work = self._work_cache.get(key)
-                    if next_work is None:
-                        next_work = self._build_work(*next_slot, host)
-                    inspect_slots[host] = (
-                        next_work, time.thread_time() - start
-                    )
-
-                do_all(
-                    range(self.num_hosts), inspect_host, executor=self.executor
-                )
-
-                for host in range(self.num_hosts):
-                    next_work, measured = inspect_slots[host]
-                    self._work_cache[(next_slot[0], next_slot[1], host)] = next_work
-                    self.metrics.record_inspection(host, measured)
-                    accessed_emb.append(next_work.embedding_access)
-                    accessed_out.append(next_work.output_access)
-                    self._peak_access_rows = max(
-                        self._peak_access_rows,
-                        int(
-                            next_work.embedding_access.size
-                            + next_work.output_access.size
-                        ),
-                    )
-
-        # -- synchronization (Algorithm 1, line 10).  The inductive
-        # fold order rotates with the global round counter so no
-        # host's shard is permanently favored by the combiner.
-        fold = epoch * self.sync_rounds + s
-        self._sync_emb.sync_replicated(
-            emb_field, updated_emb, self.combiner, self.plan,
-            accessed_next=accessed_emb, fold_offset=fold,
-        )
-        self._sync_out.sync_replicated(
-            out_field, updated_out, self.combiner, self.plan,
-            accessed_next=accessed_out, fold_offset=fold,
-        )
-        self.metrics.end_round()
-        if self.sanitize:
-            findings = self.sanitize_findings
-            if findings:
-                raise SanitizeError(findings, context=f"epoch {epoch} round {s}")
-        return round_pairs
 
     @property
     def sanitize_findings(self):
@@ -670,104 +502,9 @@ class GraphWord2Vec:
                 factor *= straggler
         return factor
 
-    def _recover_crashes(
-        self,
-        epoch: int,
-        s: int,
-        lr: float,
-        crashes,
-        updated_emb: list[BitVector],
-        updated_out: list[BitVector],
-    ) -> int:
-        """Fail-stop recovery for round ``(epoch, s)``; returns pairs replayed.
-
-        Per crashed host: (1) the barrier times out and declares it dead;
-        (2) its replacement restores its own master block from the round
-        checkpoint (stable storage) and every surviving master's block over
-        the network; (3) the lost worklist chunk is replayed on the restored
-        replica.  Replicas hold canonical values at round boundaries under
-        every plan and work generation is a pure function of the seed tree,
-        so the replayed updates are bit-identical to the lost ones.  The
-        modeled recovery time redistributes the replay across the surviving
-        hosts (values come from the sequential execution, wall-clock from
-        the concurrency model, as everywhere in this simulation).
-        """
-        assert self._round_checkpoint is not None and self.fault_report is not None
-        config = self.fault_schedule.config
-        report = self.fault_report
-        ckpt = self._round_checkpoint
-        emb_field = self._fields["embedding"]
-        out_field = self._fields["training"]
-        crashed = {ev.host for ev in crashes}
-        survivors = [h for h in range(self.num_hosts) if h not in crashed]
-        pairs_replayed = 0
-
-        for ev in crashes:
-            h = ev.host
-            report.crashes += 1
-            report.detect_s += config.detect_timeout_s
-
-            # (2a) own master block from the checkpoint — the only copy
-            # that survives the crash.
-            storage_bytes = 0
-            for field_obj, ckpt_arr, bounds in (
-                (emb_field, ckpt.embedding, self.bounds),
-                (out_field, ckpt.training, self.bounds_out),
-            ):
-                lo, hi = int(bounds[h]), int(bounds[h + 1])
-                field_obj.arrays[h][lo:hi] = ckpt_arr[lo:hi]
-                field_obj.bases[h][lo:hi] = ckpt_arr[lo:hi]
-                storage_bytes += (hi - lo) * field_obj.dim * VALUE_BYTES
-            report.checkpoint_restore_bytes += storage_bytes
-            storage_s = storage_bytes / config.restore_bandwidth_Bps
-
-            # (2b) surviving masters stream their canonical blocks (the
-            # recovery phases are priced into recovery time, not regular
-            # communication, by the report builder).
-            net_bytes = self._sync_emb.restore_host(emb_field, h)
-            net_bytes += self._sync_out.restore_host(out_field, h)
-            report.recovery_bytes += net_bytes
-
-            # (3) replay the lost chunk on the restored canonical replica
-            # (thread_time, like the compute phase: recovery cost must not
-            # depend on what else shares the simulator's cores).
-            work = self._pop_work(epoch, s, h)
-            start = time.thread_time()
-            _loss, pairs = work.apply(
-                emb_field.arrays[h],
-                out_field.arrays[h],
-                lr,
-                self.params.batch_pairs,
-                compute_loss=self.compute_loss,
-            )
-            replay_measured = time.thread_time() - start
-            pairs_replayed += pairs
-            if work.embedding_access.size:
-                updated_emb[h].set_many(work.embedding_access)
-            if work.output_access.size:
-                updated_out[h].set_many(work.output_access)
-
-            # Timing: the doomed attempt burned part of the round's compute
-            # on the dead host; the replay is redistributed across the
-            # survivors (or runs on the restarted host when there are none).
-            own_factor = self._time_factor(epoch, s, h)
-            self.metrics.record_compute(
-                h, ev.loss_fraction * replay_measured * own_factor
-            )
-            if survivors:
-                replay_s = (
-                    replay_measured
-                    * max(self._time_factor(epoch, s, sv) for sv in survivors)
-                    / len(survivors)
-                )
-            else:
-                replay_s = replay_measured * own_factor
-            report.replay_s += replay_s
-            report.restore_s += storage_s
-            self.metrics.record_recovery(
-                h, config.detect_timeout_s + storage_s + replay_s
-            )
-        return pairs_replayed
+    def _sync_of(self, fname: str) -> GluonSynchronizer:
+        """The synchronizer over ``fname``'s partitions."""
+        return self._sync_emb if fname == "embedding" else self._sync_out
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -780,9 +517,9 @@ class GraphWord2Vec:
             f"|seed={self._seeds.seed}|corpus_tokens={self.corpus.num_tokens}"
         )
         if self.engine.staleness or self.engine.delay_compensation:
-            # SSP(s=0, λ=0) is bit-identical to BSP — its checkpoints are
-            # interchangeable with BSP's in both directions.  Any s>0 (or
-            # compensated) run replays a different interleaving, so its
+            # engine="bsp" and SSP(s=0, λ=0) are one schedule, so their
+            # checkpoints are interchangeable in both directions.  Any s>0
+            # (or compensated) run replays a different interleaving, so its
             # checkpoints are its own.
             base += (
                 f"|engine={self.engine.name}|s={self.engine.staleness}"
@@ -821,18 +558,40 @@ class GraphWord2Vec:
         topology and seed the checkpoint was taken from (verified).  All
         replicas are set to the canonical values, which matches the
         post-sync state for the RepModel plans and is a valid (fully
-        refreshed) state for PullModel.
+        refreshed) state for PullModel.  A blob that is unreadable, from
+        another configuration or shaped unlike this trainer's model raises
+        :class:`~repro.w2v.io.CheckpointError` before anything is written.
         """
         state = load_checkpoint_blob(blob)
         if state.fingerprint != self._config_fingerprint():
-            raise ValueError(
+            raise CheckpointError(
                 "checkpoint belongs to a different training configuration"
             )
-        for h in range(self.num_hosts):
-            np.copyto(self._fields["embedding"].arrays[h], state.embedding)
-            np.copyto(self._fields["embedding"].bases[h], state.embedding)
-            np.copyto(self._fields["training"].arrays[h], state.training)
-            np.copyto(self._fields["training"].bases[h], state.training)
+        for name in ("embedding", "training"):
+            want = self._fields[name].canonical
+            got = getattr(state, name)
+            if got.shape != want.shape or got.dtype != want.dtype:
+                raise CheckpointError(
+                    f"checkpoint field {name!r}: expected shape {want.shape} "
+                    f"dtype {want.dtype}, got shape {got.shape} dtype {got.dtype}"
+                )
+        if not 0 <= state.completed_epochs <= self.params.epochs:
+            raise CheckpointError(
+                f"checkpoint field 'completed_epochs': expected 0..{self.params.epochs}, "
+                f"got {state.completed_epochs}"
+            )
+        if not 0 <= state.completed_rounds < self.sync_rounds:
+            raise CheckpointError(
+                f"checkpoint field 'completed_rounds': expected "
+                f"0..{self.sync_rounds - 1}, got {state.completed_rounds}"
+            )
+        for name in ("embedding", "training"):
+            values = getattr(state, name)
+            sync_field = self._fields[name]
+            np.copyto(sync_field.canonical, values)
+            for h in range(self.num_hosts):
+                np.copyto(sync_field.arrays[h], values)
+                np.copyto(sync_field.bases[h], values)
         self._completed_epochs = state.completed_epochs
         self._completed_rounds = state.completed_rounds
         self._partial_pairs = state.partial_pairs
@@ -840,9 +599,8 @@ class GraphWord2Vec:
         self._epoch_pairs = list(state.epoch_pairs)
         self._work_cache.clear()
         self._epoch_chunks_cache.clear()
-        # Async state is rebuilt lazily from the restored replicas: every
-        # replica row is canonical again, nothing is pending-stale.
-        self._canonical = None
+        # Engine state restarts: every replica row is canonical again,
+        # nothing is pending-stale.
         self._async_state = None
         if self.sync_checker is not None:
             # Replicas were rebuilt from canonical values: all prior
@@ -854,19 +612,8 @@ class GraphWord2Vec:
     # Model assembly
     # ------------------------------------------------------------------
     def canonical_model(self) -> Word2VecModel:
-        """Assemble the canonical model from each host's master block."""
-        if self._canonical is not None:
-            # Async engine: the canonical store *is* the fold frontier's
-            # ground truth (master replica rows may carry unfolded work).
-            return Word2VecModel(
-                self._canonical["embedding"].copy(),
-                self._canonical["training"].copy(),
-            )
-        emb = np.empty_like(self._fields["embedding"].arrays[0])
-        trn = np.empty_like(self._fields["training"].arrays[0])
-        for host in range(self.num_hosts):
-            blk = master_block_slice(self.bounds, host)
-            emb[blk] = self._fields["embedding"].arrays[host][blk]
-            blk_o = master_block_slice(self.bounds_out, host)
-            trn[blk_o] = self._fields["training"].arrays[host][blk_o]
-        return Word2VecModel(emb.copy(), trn.copy())
+        """A copy of the canonical model (the fold frontier's values)."""
+        return Word2VecModel(
+            self._fields["embedding"].canonical.copy(),
+            self._fields["training"].canonical.copy(),
+        )

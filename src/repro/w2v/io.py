@@ -23,7 +23,10 @@ tree).  The same state is what crash recovery restores from (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import io
 from typing import TextIO
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from repro.w2v.model import Word2VecModel
 __all__ = [
     "save_word2vec_text",
     "load_word2vec_text",
+    "CheckpointError",
     "CheckpointState",
     "save_checkpoint_blob",
     "load_checkpoint_blob",
@@ -80,6 +84,14 @@ def save_word2vec_text(
             handle.close()
 
 
+class CheckpointError(ValueError):
+    """A checkpoint blob is unreadable or does not fit the trainer loading it."""
+
+
+#: Fields every checkpoint carries; the rest default (older formats).
+_REQUIRED_FIELDS = ("embedding", "training", "completed_epochs", "fingerprint")
+
+
 @dataclass
 class CheckpointState:
     """Everything a checkpoint carries, decoded.
@@ -106,8 +118,6 @@ class CheckpointState:
 
 def save_checkpoint_blob(state: CheckpointState) -> bytes:
     """Serialize a :class:`CheckpointState` (compressed ``.npz`` container)."""
-    import io
-
     buf = io.BytesIO()
     np.savez_compressed(
         buf,
@@ -127,23 +137,34 @@ def load_checkpoint_blob(blob: bytes) -> CheckpointState:
     """Decode a checkpoint produced by :func:`save_checkpoint_blob`.
 
     Epoch-granular blobs from before round-granular checkpointing decode
-    with a zero round cursor (they were taken at epoch boundaries).
+    with a zero round cursor (they were taken at epoch boundaries).  A blob
+    that is not a readable checkpoint raises :class:`CheckpointError`.
     """
-    import io
-
-    with np.load(io.BytesIO(blob)) as data:
-        return CheckpointState(
-            embedding=data["embedding"],
-            training=data["training"],
-            completed_epochs=int(data["completed_epochs"]),
-            completed_rounds=int(data["completed_rounds"]) if "completed_rounds" in data else 0,
-            partial_pairs=int(data["partial_pairs"]) if "partial_pairs" in data else 0,
-            pairs_total=int(data["pairs_total"]) if "pairs_total" in data else 0,
-            epoch_pairs=(
-                [int(p) for p in data["epoch_pairs"]] if "epoch_pairs" in data else []
-            ),
-            fingerprint=bytes(data["fingerprint"]).decode(),
-        )
+    try:
+        with np.load(io.BytesIO(blob)) as data:
+            missing = [name for name in _REQUIRED_FIELDS if name not in data]
+            if missing:
+                raise CheckpointError(f"checkpoint is missing field(s) {missing}")
+            return CheckpointState(
+                embedding=data["embedding"],
+                training=data["training"],
+                completed_epochs=int(data["completed_epochs"]),
+                completed_rounds=(
+                    int(data["completed_rounds"]) if "completed_rounds" in data else 0
+                ),
+                partial_pairs=int(data["partial_pairs"]) if "partial_pairs" in data else 0,
+                pairs_total=int(data["pairs_total"]) if "pairs_total" in data else 0,
+                epoch_pairs=(
+                    [int(p) for p in data["epoch_pairs"]] if "epoch_pairs" in data else []
+                ),
+                fingerprint=bytes(data["fingerprint"]).decode(),
+            )
+    except CheckpointError:
+        raise
+    except (
+        zipfile.BadZipFile, zlib.error, ValueError, TypeError, KeyError, OSError, EOFError
+    ) as exc:
+        raise CheckpointError(f"checkpoint blob is unreadable: {exc}") from exc
 
 
 def load_word2vec_text(source: TextIO | str) -> tuple[list[str], np.ndarray]:

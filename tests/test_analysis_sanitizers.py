@@ -27,6 +27,7 @@ from repro.gluon.plans import CommPlan, get_plan
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.w2v.distributed import GraphWord2Vec
 from repro.w2v.params import Word2VecParams
+from repro.w2v.steps import RoundWork
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +139,14 @@ def make_sync(V=8, D=2, H=2, checker=None):
         "f",
         arrays=[init.copy() for _ in range(H)],
         bases=[init.copy() for _ in range(H)],
+        canonical=init.copy(),
     )
     return sync, field
+
+
+def ids(updated):
+    """Per-host sorted ids flagged in ``updated`` bit vectors."""
+    return [bv.indices() for bv in updated]
 
 
 def finish_round(field, updated):
@@ -157,7 +164,7 @@ class TestGluonSyncChecker:
         # shipped to the master.
         field.arrays[1][6] += 1.0
         upd = [BitVector(8), BitVector(8)]
-        sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        sync.sync_replicated(field, ids(upd), get_combiner("mc"), get_plan("opt"))
         kinds = [f.kind for f in checker.findings]
         assert kinds == ["dropped-write"]
         [finding] = checker.findings
@@ -178,7 +185,7 @@ class TestGluonSyncChecker:
         upd = [BitVector(8), BitVector(8)]
         upd[0].set(1)
         sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+            field, ids(upd), get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         assert checker.findings == []
         finish_round(field, upd)
@@ -187,7 +194,7 @@ class TestGluonSyncChecker:
         field.arrays[1][1] += 1.0
         upd[1].set(1)
         sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+            field, ids(upd), get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         assert "stale-read" in [f.kind for f in checker.findings]
         stale = [f for f in checker.findings if f.kind == "stale-read"][0]
@@ -209,7 +216,7 @@ class TestGluonSyncChecker:
         upd = [BitVector(8), BitVector(8)]
         upd[1].set(2)
         sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+            field, ids(upd), get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         for bv in upd:
             bv.reset()  # bases NOT re-snapshotted: residual row must persist
@@ -217,7 +224,7 @@ class TestGluonSyncChecker:
         # Round 2: no writes at all — the lingering residual on host 1 is
         # expected state, not a dropped write.
         sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+            field, ids(upd), get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         assert checker.findings == []
         assert checker.rounds_observed == 2
@@ -240,7 +247,7 @@ class TestGluonSyncChecker:
         field.arrays[0][1] += 1.0
         upd = [BitVector(8), BitVector(8)]
         upd[0].set(1)
-        sync.sync_replicated(field, upd, get_combiner("mc"), BlastPlan())
+        sync.sync_replicated(field, ids(upd), get_combiner("mc"), BlastPlan())
         redundant = [f for f in checker.findings if f.kind == "redundant-broadcast"]
         assert redundant, [str(f) for f in checker.findings]
         assert all(f.details["rows"] == [2] for f in redundant)
@@ -261,7 +268,7 @@ class TestGluonSyncChecker:
             kwargs = (
                 {"accessed_next": accessed} if plan.requires_access_sets else {}
             )
-            sync.sync_replicated(field, upd, get_combiner("mc"), plan, **kwargs)
+            sync.sync_replicated(field, ids(upd), get_combiner("mc"), plan, **kwargs)
             finish_round(field, upd)
         assert checker.findings == []
         assert checker.rounds_observed == 2
@@ -353,6 +360,29 @@ class TestTrainerIntegration:
         result = trainer.train()
         assert result.report.faults.crashes > 0  # the scenario actually ran
         assert trainer.sanitize_findings == []
+
+    @pytest.mark.parametrize("staleness", [0, 2])
+    def test_unflagged_write_is_a_dropped_write(self, corpus, monkeypatch, staleness):
+        # A kernel that also writes one row outside its access set: no
+        # fold reduces that write, and the checker must say so, with
+        # hosts in lock-step (s=0) and running ahead (s=2) alike.
+        apply = RoundWork.apply
+
+        def leaky_apply(self, embedding, training, *args, **kwargs):
+            result = apply(self, embedding, training, *args, **kwargs)
+            outside = np.setdiff1d(
+                np.arange(len(embedding)), self.embedding_access, assume_unique=True
+            )
+            embedding[outside[0]] += 1.0
+            return result
+
+        monkeypatch.setattr(RoundWork, "apply", leaky_apply)
+        trainer = GraphWord2Vec(
+            corpus, PARAMS, num_hosts=2, seed=3, engine="async",
+            staleness=staleness, sanitize=True,
+        )
+        with pytest.raises(SanitizeError, match="dropped-write"):
+            trainer.train()
 
     def test_findings_raise_at_round_barrier(self, corpus):
         trainer = GraphWord2Vec(corpus, PARAMS, num_hosts=2, seed=3, sanitize=True)

@@ -96,6 +96,32 @@ class TestCommands:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hosts", ["1", "3"])
+    @pytest.mark.parametrize(
+        "flag", [["--staleness", "2"], ["--delay-compensation", "0.5"]]
+    )
+    def test_train_engine_flags_require_async(self, hosts, flag, capsys):
+        code = main(
+            ["train", "--dataset", "tiny-sim", "--hosts", hosts, "--epochs", "1", *flag]
+        )
+        assert code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_train_trace_writes_chrome_events(self, tmp_path, capsys):
+        import json
+
+        trace_path = tmp_path / "train.trace.json"
+        code = main(
+            [
+                "train", "--dataset", "tiny-sim", "--hosts", "3", "--dim", "8",
+                "--epochs", "1", "--negatives", "4", "--subsample", "1e-2",
+                "--trace", str(trace_path),
+            ]
+        )
+        assert code == 0
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        assert {"compute", "communication"} <= {e.get("cat") for e in events}
+
     def test_train_custom_corpus(self, tmp_path, capsys):
         corpus_file = tmp_path / "text.txt"
         corpus_file.write_text(

@@ -263,6 +263,7 @@ class TestDistributedRunReport:
             metrics=metrics,
             network=net,
             model=NetworkModel(),
+            makespan_s=metrics.modeled_compute_s(),
         )
         assert set(report.bytes_by_phase) == {"reduce", "broadcast"}
         assert report.bytes_by_phase["reduce"] == 232  # 2 x (100 + 16 header)

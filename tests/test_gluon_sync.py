@@ -9,6 +9,11 @@ from repro.gluon.plans import get_plan
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 
 
+def ids(updated):
+    """Per-host sorted ids flagged in ``updated`` bit vectors."""
+    return [bv.indices() for bv in updated]
+
+
 def make_replicated(V=8, D=2, H=3, dtype=np.float32):
     parts = replicate_all_partitions(V, H)
     net = SimulatedNetwork(H)
@@ -18,6 +23,7 @@ def make_replicated(V=8, D=2, H=3, dtype=np.float32):
         "f",
         arrays=[init.copy() for _ in range(H)],
         bases=[init.copy() for _ in range(H)],
+        canonical=init.copy(),
     )
     return parts, net, sync, field
 
@@ -25,12 +31,26 @@ def make_replicated(V=8, D=2, H=3, dtype=np.float32):
 class TestFieldSync:
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            FieldSync("f", arrays=[np.zeros((2, 2)), np.zeros((3, 2))], bases=[np.zeros((2, 2)), np.zeros((2, 2))])
+            FieldSync(
+                "f",
+                arrays=[np.zeros((2, 2)), np.zeros((3, 2))],
+                bases=[np.zeros((2, 2)), np.zeros((2, 2))],
+                canonical=np.zeros((2, 2)),
+            )
+        with pytest.raises(ValueError, match="inconsistent"):
+            FieldSync(
+                "f",
+                arrays=[np.zeros((2, 2))],
+                bases=[np.zeros((2, 2))],
+                canonical=np.zeros((3, 2)),
+            )
         with pytest.raises(ValueError, match="2-D"):
-            FieldSync("f", arrays=[np.zeros(4)], bases=[np.zeros(4)])
+            FieldSync("f", arrays=[np.zeros(4)], bases=[np.zeros(4)], canonical=np.zeros(4))
 
     def test_snapshot(self):
-        f = FieldSync("f", arrays=[np.ones((2, 2))], bases=[np.zeros((2, 2))])
+        f = FieldSync(
+            "f", arrays=[np.ones((2, 2))], bases=[np.zeros((2, 2))], canonical=np.zeros((2, 2))
+        )
         f.snapshot_bases()
         assert np.array_equal(f.bases[0], f.arrays[0])
 
@@ -43,7 +63,7 @@ class TestReplicatedSync:
         upd = [BitVector(8) for _ in range(3)]
         upd[0].set(0)
         upd[2].set(7)
-        sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        sync.sync_replicated(field, ids(upd), get_combiner("mc"), get_plan("opt"))
         for h in range(3):
             assert np.allclose(field.arrays[h], field.arrays[0])
         assert np.allclose(field.arrays[1][0], field.bases[1][0])
@@ -56,7 +76,7 @@ class TestReplicatedSync:
         upd = [BitVector(4), BitVector(4)]
         upd[0].set(1)
         upd[1].set(1)
-        sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        sync.sync_replicated(field, ids(upd), get_combiner("mc"), get_plan("opt"))
         assert np.allclose(field.arrays[0][1], base_row + np.array([1.0, 1.0]))
 
     def test_parallel_conflict_avg_vs_sum(self):
@@ -69,7 +89,7 @@ class TestReplicatedSync:
             upd = [BitVector(4), BitVector(4)]
             upd[0].set(2)
             upd[1].set(2)
-            sync.sync_replicated(field, upd, get_combiner(name), get_plan("opt"))
+            sync.sync_replicated(field, ids(upd), get_combiner(name), get_plan("opt"))
             assert np.allclose(
                 field.arrays[0][2], base_row + factor * delta
             ), name
@@ -85,7 +105,7 @@ class TestReplicatedSync:
             upd[0].set(0)
             upd[1].set(0)
             sync.sync_replicated(
-                field, upd, get_combiner("keep_first"), get_plan("opt"),
+                field, ids(upd), get_combiner("keep_first"), get_plan("opt"),
                 fold_offset=offset,
             )
             assert np.allclose(field.arrays[0][0], base + expected)
@@ -95,7 +115,7 @@ class TestReplicatedSync:
         field.arrays[1][3] += 5.0
         upd = [BitVector(8) for _ in range(3)]
         upd[1].set(3)
-        sync.sync_replicated(field, upd, get_combiner("sum"), get_plan("opt"))
+        sync.sync_replicated(field, ids(upd), get_combiner("sum"), get_plan("opt"))
         for h in range(3):
             assert np.array_equal(field.bases[h], field.arrays[h])
 
@@ -103,11 +123,16 @@ class TestReplicatedSync:
         parts = replicate_all_partitions(4, 1)
         net = SimulatedNetwork(1)
         sync = GluonSynchronizer(parts, net)
-        field = FieldSync("f", arrays=[np.zeros((4, 2), np.float32)], bases=[np.zeros((4, 2), np.float32)])
+        field = FieldSync(
+            "f",
+            arrays=[np.zeros((4, 2), np.float32)],
+            bases=[np.zeros((4, 2), np.float32)],
+            canonical=np.zeros((4, 2), np.float32),
+        )
         field.arrays[0][1] += 1.0
         upd = [BitVector(4)]
         upd[0].set(1)
-        result = sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        result = sync.sync_replicated(field, ids(upd), get_combiner("mc"), get_plan("opt"))
         assert net.total_bytes == 0
         assert result.num_changed == 1
         assert np.allclose(field.arrays[0][1], 1.0)
@@ -116,7 +141,7 @@ class TestReplicatedSync:
         _, _, sync, field = make_replicated()
         upd = [BitVector(8) for _ in range(3)]
         with pytest.raises(ValueError, match="requires access sets"):
-            sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("pull"))
+            sync.sync_replicated(field, ids(upd), get_combiner("mc"), get_plan("pull"))
 
     def test_pull_refreshes_only_accessed(self):
         _, _, sync, field = make_replicated(V=8, D=2, H=2)
@@ -125,7 +150,7 @@ class TestReplicatedSync:
         upd[0].set(6)
         accessed = [np.array([6]), np.empty(0, dtype=np.int64)]
         sync.sync_replicated(
-            field, upd, get_combiner("mc"), get_plan("pull"), accessed_next=accessed
+            field, ids(upd), get_combiner("mc"), get_plan("pull"), accessed_next=accessed
         )
         # Master (host 1) applied the canonical update...
         assert np.allclose(field.arrays[1][6], field.bases[1][6])
@@ -141,26 +166,31 @@ class TestReplicatedSync:
         upd[0].set(0)
         accessed = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)]
         sync.sync_replicated(
-            field, upd, get_combiner("mc"), get_plan("pull"), accessed_next=accessed
+            field, ids(upd), get_combiner("mc"), get_plan("pull"), accessed_next=accessed
         )
         # Host 1 does not access node 0 next round: replica stays stale.
         assert np.allclose(field.arrays[1][0], stale_before)
 
     def test_wrong_updated_count(self):
         _, _, sync, field = make_replicated()
-        with pytest.raises(ValueError, match="bit-vectors"):
-            sync.sync_replicated(field, [BitVector(8)], get_combiner("mc"), get_plan("opt"))
+        with pytest.raises(ValueError, match="updated id arrays"):
+            sync.sync_replicated(
+                field, [np.empty(0, dtype=np.int64)], get_combiner("mc"), get_plan("opt")
+            )
 
     def test_requires_fully_replicated(self):
         parts = partition_edges(np.array([0, 1]), np.array([1, 2]), 4, 2, policy="oec")
         net = SimulatedNetwork(2)
         sync = GluonSynchronizer(parts, net)
         field = FieldSync(
-            "f", arrays=[np.zeros((4, 1), np.float32)] * 2, bases=[np.zeros((4, 1), np.float32)] * 2
+            "f",
+            arrays=[np.zeros((4, 1), np.float32)] * 2,
+            bases=[np.zeros((4, 1), np.float32)] * 2,
+            canonical=np.zeros((4, 1), np.float32),
         )
         upd = [BitVector(4), BitVector(4)]
         with pytest.raises(ValueError, match="fully replicated"):
-            sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+            sync.sync_replicated(field, ids(upd), get_combiner("mc"), get_plan("opt"))
 
 
 class TestPlanEquivalence:
@@ -176,6 +206,7 @@ class TestPlanEquivalence:
             "f",
             arrays=[init.copy() for _ in range(3)],
             bases=[init.copy() for _ in range(3)],
+            canonical=init.copy(),
         )
         plan = get_plan(plan_name)
         update_rng = np.random.default_rng(99)
@@ -196,7 +227,7 @@ class TestPlanEquivalence:
                 # Refresh everything a host might touch next: all rows.
                 accessed = [np.arange(10, dtype=np.int64) for _ in range(3)]
             sync.sync_replicated(
-                field, upd, get_combiner("mc"), plan, accessed_next=accessed,
+                field, ids(upd), get_combiner("mc"), plan, accessed_next=accessed,
                 fold_offset=r,
             )
         return field.arrays[0].copy(), net.total_bytes

@@ -63,6 +63,7 @@ def test_engine_matches_reference(H, rounds, combiner_name, plan_name, seed):
         "f",
         arrays=[init.copy() for _ in range(H)],
         bases=[init.copy() for _ in range(H)],
+        canonical=init.copy(),
     )
     plan = get_plan(plan_name)
     combiner = get_combiner(combiner_name)
@@ -102,7 +103,7 @@ def test_engine_matches_reference(H, rounds, combiner_name, plan_name, seed):
             else:
                 accessed = [np.empty(0, dtype=np.int64) for _ in range(H)]
         sync.sync_replicated(
-            field, upd, combiner, plan, accessed_next=accessed, fold_offset=r
+            field, [bv.indices() for bv in upd], combiner, plan, accessed_next=accessed, fold_offset=r
         )
         # Reference: deltas measured in float64 from the float32 arrays the
         # engine saw; we reuse the raw float32 deltas (identical values).

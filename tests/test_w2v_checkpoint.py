@@ -3,6 +3,7 @@ import pytest
 
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec
+from repro.w2v.io import CheckpointError, CheckpointState, save_checkpoint_blob
 from repro.w2v.params import Word2VecParams
 
 
@@ -167,3 +168,111 @@ class TestRoundGranularCheckpoint:
         assert fresh._completed_rounds == 0
         straight = make(corpus).train().model
         assert fresh.train().model == straight
+
+
+def trainer_state(trainer):
+    """Every replica, base and canonical array, plus the round cursor."""
+    arrays = [
+        a.copy()
+        for sync_field in trainer._fields.values()
+        for a in [*sync_field.arrays, *sync_field.bases, sync_field.canonical]
+    ]
+    return arrays, (trainer._completed_epochs, trainer._completed_rounds)
+
+
+def assert_untouched(trainer, before):
+    arrays, cursor = trainer_state(trainer)
+    assert cursor == before[1]
+    assert len(arrays) == len(before[0])
+    for got, want in zip(arrays, before[0]):
+        assert np.array_equal(got, want)
+
+
+class TestCheckpointErrors:
+    """A bad blob raises a named error and leaves the trainer untouched."""
+
+    @pytest.fixture()
+    def blob_and_trainer(self, corpus):
+        donor = make(corpus)
+        donor.train(until_epoch=1)
+        trainer = make(corpus)
+        trainer.train(until_round=1)
+        return donor.save_checkpoint(), trainer
+
+    def test_truncated_blob(self, blob_and_trainer):
+        blob, trainer = blob_and_trainer
+        before = trainer_state(trainer)
+        with pytest.raises(CheckpointError, match="unreadable"):
+            trainer.load_checkpoint(blob[: len(blob) // 2])
+        assert_untouched(trainer, before)
+
+    def test_garbled_blob(self, blob_and_trainer):
+        blob, trainer = blob_and_trainer
+        before = trainer_state(trainer)
+        garbled = bytes(b ^ 0x5A for b in blob[:64]) + blob[64:]
+        with pytest.raises(CheckpointError, match="unreadable"):
+            trainer.load_checkpoint(garbled)
+        assert_untouched(trainer, before)
+
+    def test_short_field_fails_before_any_write(self, blob_and_trainer):
+        # The embedding is valid and would be written first; the training
+        # field is one row short.  Nothing may be written.
+        blob, trainer = blob_and_trainer
+        model = trainer.canonical_model()
+        rows, dim = model.training.shape
+        short = save_checkpoint_blob(
+            CheckpointState(
+                embedding=model.embedding + 1.0,
+                training=model.training[:-1],
+                completed_epochs=1,
+                fingerprint=trainer._config_fingerprint(),
+            )
+        )
+        before = trainer_state(trainer)
+        with pytest.raises(
+            CheckpointError,
+            match=rf"'training': expected shape \({rows}, {dim}\) dtype float32, "
+            rf"got shape \({rows - 1}, {dim}\) dtype float32",
+        ):
+            trainer.load_checkpoint(short)
+        assert_untouched(trainer, before)
+
+    def test_wrong_dtype_names_the_field(self, blob_and_trainer):
+        blob, trainer = blob_and_trainer
+        model = trainer.canonical_model()
+        wide = save_checkpoint_blob(
+            CheckpointState(
+                embedding=model.embedding.astype(np.float64),
+                training=model.training,
+                completed_epochs=1,
+                fingerprint=trainer._config_fingerprint(),
+            )
+        )
+        before = trainer_state(trainer)
+        with pytest.raises(CheckpointError, match="'embedding'.*dtype float64"):
+            trainer.load_checkpoint(wide)
+        assert_untouched(trainer, before)
+
+    def test_errors_are_value_errors(self, blob_and_trainer):
+        blob, trainer = blob_and_trainer
+        with pytest.raises(ValueError):
+            trainer.load_checkpoint(b"not a checkpoint")
+        # The intact blob still loads afterwards.
+        assert trainer.load_checkpoint(blob) == 1
+
+
+def test_bsp_config_fingerprint_is_pinned(corpus):
+    """Checkpoints written by the dedicated BSP loop carry this fingerprint;
+    both spellings of BSP must keep producing it so they keep loading."""
+    expected = (
+        "Word2VecParams(dim=16, window=3, negatives=4, architecture='skipgram', "
+        "objective='negative', learning_rate=0.025, min_learning_rate_fraction=0.0001, "
+        "lr_schedule='linear', epochs=4, subsample_threshold=0.01, min_count=1, "
+        "max_sentence_length=10000, batch_pairs=256, shuffle_each_epoch=True)"
+        "|hosts=3|S=4|combiner=mc|plan=RepModel-Opt|seed=5|corpus_tokens=6001"
+    )
+    assert make(corpus)._config_fingerprint() == expected
+    assert make(corpus, engine="async", staleness=0)._config_fingerprint() == expected
+    assert make(corpus, engine="async", staleness=2)._config_fingerprint() == (
+        expected + "|engine=async|s=2|lam=0.0"
+    )
